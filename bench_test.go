@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"streamquantiles/internal/core"
 	"streamquantiles/internal/harness"
 	"streamquantiles/internal/streamgen"
 )
@@ -259,5 +260,34 @@ func BenchmarkPostProcessDCS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = PostProcess(s, 0)
+	}
+}
+
+// BenchmarkAppendQuerySnapshot times one query-snapshot rebuild — the
+// cost the first query after a write pays — per family at the
+// benchmark roster's shape: ε = 0.001, uniform 2^24, n = 2^18.
+func BenchmarkAppendQuerySnapshot(b *testing.B) {
+	data := streamgen.Generate(streamgen.Uniform{Bits: 24, Seed: 1}, 1<<18)
+	for _, fam := range []struct {
+		name  string
+		fresh func() CashRegister
+	}{
+		{"kll", func() CashRegister { return NewKLL(0.001, 1) }},
+		{"mrl", func() CashRegister { return NewMRL99(0.001, 1) }},
+		{"random", func() CashRegister { return NewRandom(0.001, 1) }},
+		{"qdigest", func() CashRegister { return NewQDigest(0.001, 24) }},
+	} {
+		b.Run(fam.name, func(b *testing.B) {
+			s := fam.fresh()
+			UpdateBatch(s, data)
+			ss := s.(core.Snapshotter)
+			var qs core.QuerySnapshot
+			ss.AppendQuerySnapshot(&qs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ss.AppendQuerySnapshot(&qs)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -126,6 +127,52 @@ func TestShortSoakTurnstile(t *testing.T) {
 	out, _ := runSoak(t, cfg)
 	if !strings.Contains(out, "PASS") {
 		t.Fatalf("no PASS in output:\n%s", out)
+	}
+}
+
+// TestTurnstileRetargetWaitsForWriters pins the rejected-retarget check
+// to the pause gate. A writer mid-batch holds the gate's read side and
+// may delete at any moment; the check compares the count before and
+// after the rejected retarget, so it must wait for the gate rather than
+// read the count under the writer's deletes.
+func TestTurnstileRetargetWaitsForWriters(t *testing.T) {
+	cfg := soakCfg("dcs")
+	cfg.retargetEps = 0.04
+	_, turn, err := buildContainers(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{cfg: cfg, out: io.Discard, turn: turn}
+	xs := make([]uint64, 2048)
+	for i := range xs {
+		xs[i] = uint64(i * 7 % (1 << cfg.bits))
+	}
+	turn.InsertBatch(xs)
+
+	h.gate.RLock() // a writer's batch in flight
+	done := make(chan struct{})
+	go func() {
+		h.doRetarget()
+		close(done)
+	}()
+	turn.DeleteBatch(xs[:512])
+	select {
+	case <-done:
+		t.Fatal("the retarget check ran while a writer held the gate")
+	case <-time.After(50 * time.Millisecond):
+	}
+	turn.DeleteBatch(xs[512:1024])
+	h.gate.RUnlock()
+	<-done
+
+	if len(h.violations) != 0 {
+		t.Fatalf("violations: %v", h.violations)
+	}
+	if h.retargets != 1 {
+		t.Fatalf("retargets = %d, want 1", h.retargets)
+	}
+	if got := turn.Count(); got != 1024 {
+		t.Fatalf("count %d after the rejected retarget, want 1024", got)
 	}
 }
 

@@ -406,14 +406,18 @@ func (h *harness) doRetarget() {
 			cfg.retargetEps, h.cash.EpsBudget(), h.cash.Components(), h.opsDone.Load())
 		return
 	}
+	// Writers keep deleting between the two counts unless the gate
+	// pauses them, so the comparison holds it, as verifyBarrier does.
+	h.gate.Lock()
+	defer h.gate.Unlock()
 	before := h.turn.Count()
 	fresh := turnFactory(cfg.algo, cfg.retargetEps, cfg.bits, cfg.seed)
 	if err := h.turn.Retarget(fresh); err == nil {
 		h.fail("turnstile retarget to ε=%g was accepted; deletions make freezing unsound, it must be rejected", cfg.retargetEps)
 		return
 	}
-	if after := h.turn.Count(); after < before {
-		h.fail("rejected turnstile retarget lost data: count %d -> %d", before, after)
+	if after := h.turn.Count(); after != before {
+		h.fail("rejected turnstile retarget changed the state: count %d -> %d", before, after)
 		return
 	}
 	h.retargets++

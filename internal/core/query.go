@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Batched queries. The read-path counterpart of batch.go: a summary that
 // implements QuantileBatcher answers many quantile (or rank) queries in
@@ -55,7 +58,7 @@ func sortedXOrder(xs []uint64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
 	return order
 }
 

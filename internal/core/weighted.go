@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // WeightedValue is one retained sample together with the number of stream
 // elements it represents. The sample-based summaries (Random, MRL99)
@@ -8,11 +11,6 @@ import "sort"
 type WeightedValue struct {
 	V uint64
 	W int64
-}
-
-// SortWeighted orders items by value ascending.
-func SortWeighted(items []WeightedValue) {
-	sort.Slice(items, func(i, j int) bool { return items[i].V < items[j].V })
 }
 
 // WeightedRank estimates the rank of x over a value-sorted sample set:
@@ -36,7 +34,7 @@ func sortedPhiOrder(phis []float64) []int {
 		CheckPhi(phis[i])
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return phis[order[a]] < phis[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(phis[a], phis[b]) })
 	return order
 }
 

@@ -50,7 +50,6 @@ func TestWeightedQuantilesMatchSingle(t *testing.T) {
 		for i, w := range rawW {
 			items = append(items, WeightedValue{V: uint64(i * 3), W: int64(w%7 + 1)})
 		}
-		SortWeighted(items)
 		var phis []float64
 		for _, p := range phiBits {
 			phis = append(phis, float64(p%999+1)/1000)
@@ -75,12 +74,4 @@ func TestWeightedQuantileEmptyPanics(t *testing.T) {
 		}
 	}()
 	WeightedQuantile(nil, 0.5)
-}
-
-func TestSortWeighted(t *testing.T) {
-	items := []WeightedValue{{V: 3, W: 1}, {V: 1, W: 2}, {V: 2, W: 3}}
-	SortWeighted(items)
-	if items[0].V != 1 || items[1].V != 2 || items[2].V != 3 {
-		t.Errorf("SortWeighted wrong order: %v", items)
-	}
 }

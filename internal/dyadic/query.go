@@ -1,7 +1,8 @@
 package dyadic
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"streamquantiles/internal/core"
 )
@@ -29,7 +30,7 @@ func (s *Sketch) QuantileBatch(phis []float64) []uint64 {
 		core.CheckPhi(phis[i])
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return phis[order[a]] < phis[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(phis[a], phis[b]) })
 
 	targets := make([]float64, k)
 	ivs := make([]uint64, k) // frontier: interval index per query, sorted

@@ -1,7 +1,8 @@
 package gk
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"streamquantiles/internal/core"
 )
@@ -81,7 +82,7 @@ func (b *Biased) Flush() {
 }
 
 func (b *Biased) flush() {
-	sort.Slice(b.buf, func(i, j int) bool { return b.buf[i] < b.buf[j] })
+	slices.Sort(b.buf)
 
 	// Merge buffer and tuple columns in sorted order into the spare
 	// column set, then swap. New elements take Δ = g_succ + Δ_succ − 1
@@ -215,7 +216,7 @@ func (b *Biased) QuantileBatch(phis []float64) []uint64 {
 		core.CheckPhi(phis[i])
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool { return phis[order[x]] < phis[order[y]] })
+	slices.SortFunc(order, func(x, y int) int { return cmp.Compare(phis[x], phis[y]) })
 
 	out := make([]uint64, len(phis))
 	oi := 0

@@ -20,9 +20,10 @@
 package gk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"streamquantiles/internal/core"
 )
@@ -193,7 +194,7 @@ func queryQuantiles(seq tupleSeq, n int64, phis []float64) []uint64 {
 		core.CheckPhi(phis[i])
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return phis[order[a]] < phis[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(phis[a], phis[b]) })
 
 	var maxGap int64
 	seq(func(t tuple) bool {
@@ -269,7 +270,7 @@ func queryRanks(seq tupleSeq, xs []uint64) []int64 {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
 
 	out := make([]int64, len(xs))
 	qi := 0

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"streamquantiles/internal/core"
 	"streamquantiles/internal/xhash"
@@ -47,8 +46,8 @@ type Sketch struct {
 	// first so that level 0 sits at the end and per-item ingestion is a
 	// plain append. bounds[h] is the end offset of level h
 	// (bounds[depth] = 0, bounds[0] = len(arena)); level h — elements of
-	// weight 2^h, kept sorted lazily (sorted on compaction and on
-	// query) — occupies arena[bounds[h+1]:bounds[h]].
+	// weight 2^h, sorted lazily, on compaction — occupies
+	// arena[bounds[h+1]:bounds[h]].
 	arena  []uint64
 	bounds []int
 	rng    *xhash.SplitMix64
@@ -172,45 +171,25 @@ func (s *Sketch) compact(h int) {
 	s.arena = s.arena[:s.bounds[0]]
 }
 
-// samplePool recycles the weighted-sample scratch built on every query.
-// Queries may run concurrently (read-locked shards), so the scratch
-// cannot live on the Sketch.
-var samplePool = sync.Pool{New: func() any { return new([]core.WeightedValue) }}
-
-// appendSamples gathers all retained elements with their weights into
-// dst, sorted.
-func (s *Sketch) appendSamples(dst []core.WeightedValue) []core.WeightedValue {
+// ListRuns implements core.RunLister: each level is one run of weight
+// 2^h. Levels are sorted lazily, so the merge sorts copies of the ones
+// that are not sorted yet; the arena itself is never reordered by a
+// query (queries run concurrently, and the level order is encoded).
+func (s *Sketch) ListRuns(rs *core.Runs) {
 	for h := 0; h < s.Depth(); h++ {
-		w := int64(1) << h
-		for _, v := range s.level(h) {
-			dst = append(dst, core.WeightedValue{V: v, W: w})
-		}
+		rs.AddRun(s.level(h), int64(1)<<h)
 	}
-	core.SortWeighted(dst)
-	return dst
 }
 
 // Rank implements core.Summary.
-func (s *Sketch) Rank(x uint64) int64 {
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := s.appendSamples((*sp)[:0])
-	r := core.WeightedRank(sm, x)
-	*sp = sm
-	samplePool.Put(sp)
-	return r
-}
+func (s *Sketch) Rank(x uint64) int64 { return core.RunsRank(s, x) }
 
 // Quantile implements core.Summary.
 func (s *Sketch) Quantile(phi float64) uint64 {
 	if s.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := s.appendSamples((*sp)[:0])
-	q := core.WeightedQuantile(sm, phi)
-	*sp = sm
-	samplePool.Put(sp)
-	return q
+	return core.RunsQuantile(s, phi)
 }
 
 // QuantileBatch implements core.QuantileBatcher.
@@ -218,32 +197,14 @@ func (s *Sketch) QuantileBatch(phis []float64) []uint64 {
 	if s.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := s.appendSamples((*sp)[:0])
-	out := core.WeightedQuantiles(sm, phis)
-	*sp = sm
-	samplePool.Put(sp)
-	return out
+	return core.RunsQuantiles(s, phis)
 }
 
 // RankBatch implements core.QuantileBatcher.
-func (s *Sketch) RankBatch(xs []uint64) []int64 {
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := s.appendSamples((*sp)[:0])
-	out := core.WeightedRanks(sm, xs)
-	*sp = sm
-	samplePool.Put(sp)
-	return out
-}
+func (s *Sketch) RankBatch(xs []uint64) []int64 { return core.RunsRanks(s, xs) }
 
 // AppendQuerySnapshot implements core.Snapshotter.
-func (s *Sketch) AppendQuerySnapshot(qs *core.QuerySnapshot) {
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := s.appendSamples((*sp)[:0])
-	core.AppendWeightedSnapshot(qs, sm)
-	*sp = sm
-	samplePool.Put(sp)
-}
+func (s *Sketch) AppendQuerySnapshot(qs *core.QuerySnapshot) { core.AppendRunsSnapshot(qs, s) }
 
 // checkCompatible validates a merge partner: both sketches must have
 // been built with bit-identical eps (exact comparison is the intent, so

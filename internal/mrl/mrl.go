@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"streamquantiles/internal/core"
 	"streamquantiles/internal/xhash"
@@ -328,85 +327,44 @@ func collapseGroup(group []*buffer, k int, rng *xhash.SplitMix64, sc *collapseSc
 	return collapsed{level: maxLevel + 1, weight: stride, data: out}
 }
 
-// samplePool recycles the weighted-sample scratch built on every query.
-// Queries may run concurrently (read-locked shards), so the scratch
-// cannot live on the summary.
-var samplePool = sync.Pool{New: func() any { return new([]core.WeightedValue) }}
-
-// appendSamples collects retained elements with their weights into dst,
-// sorted by value.
-func (m *MRL99) appendSamples(dst []core.WeightedValue) []core.WeightedValue {
+// ListRuns implements core.RunLister: every non-empty buffer is one run.
+// Full buffers are sorted when they fill or collapse; the merge sorts a
+// copy of the partially filled one.
+func (m *MRL99) ListRuns(rs *core.Runs) {
 	for _, b := range m.bufs {
-		if len(b.data) == 0 {
-			continue
-		}
 		w := b.weight
 		if w == 0 {
 			w = int64(1) << b.level
 		}
-		for _, v := range b.data {
-			dst = append(dst, core.WeightedValue{V: v, W: w})
-		}
+		rs.AddRun(b.data, w)
 	}
-	core.SortWeighted(dst)
-	return dst
 }
 
 // Rank implements core.Summary.
-func (m *MRL99) Rank(x uint64) int64 {
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := m.appendSamples((*sp)[:0])
-	r := core.WeightedRank(sm, x)
-	*sp = sm
-	samplePool.Put(sp)
-	return r
-}
+func (m *MRL99) Rank(x uint64) int64 { return core.RunsRank(m, x) }
 
 // Quantile implements core.Summary.
 func (m *MRL99) Quantile(phi float64) uint64 {
 	if m.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := m.appendSamples((*sp)[:0])
-	q := core.WeightedQuantile(sm, phi)
-	*sp = sm
-	samplePool.Put(sp)
-	return q
+	return core.RunsQuantile(m, phi)
 }
 
-// QuantileBatch implements core.QuantileBatcher: the retained samples are
-// collected and sorted once for the whole batch.
+// QuantileBatch implements core.QuantileBatcher: the buffers are merged
+// once for the whole batch.
 func (m *MRL99) QuantileBatch(phis []float64) []uint64 {
 	if m.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := m.appendSamples((*sp)[:0])
-	out := core.WeightedQuantiles(sm, phis)
-	*sp = sm
-	samplePool.Put(sp)
-	return out
+	return core.RunsQuantiles(m, phis)
 }
 
 // RankBatch implements core.QuantileBatcher.
-func (m *MRL99) RankBatch(xs []uint64) []int64 {
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := m.appendSamples((*sp)[:0])
-	out := core.WeightedRanks(sm, xs)
-	*sp = sm
-	samplePool.Put(sp)
-	return out
-}
+func (m *MRL99) RankBatch(xs []uint64) []int64 { return core.RunsRanks(m, xs) }
 
 // AppendQuerySnapshot implements core.Snapshotter.
-func (m *MRL99) AppendQuerySnapshot(qs *core.QuerySnapshot) {
-	sp := samplePool.Get().(*[]core.WeightedValue)
-	sm := m.appendSamples((*sp)[:0])
-	core.AppendWeightedSnapshot(qs, sm)
-	*sp = sm
-	samplePool.Put(sp)
-}
+func (m *MRL99) AppendQuerySnapshot(qs *core.QuerySnapshot) { core.AppendRunsSnapshot(qs, m) }
 
 // SpaceBytes implements core.Summary: the b×k element arena plus
 // per-buffer metadata, collapse scratch and scalar state.

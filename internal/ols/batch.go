@@ -1,7 +1,8 @@
 package ols
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"streamquantiles/internal/core"
 )
@@ -27,7 +28,7 @@ func (p *Post) QuantileBatch(phis []float64) []uint64 {
 		core.CheckPhi(phis[i])
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return phis[order[a]] < phis[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(phis[a], phis[b]) })
 
 	bits := p.sk.UniverseBits()
 	targets := make([]float64, k)

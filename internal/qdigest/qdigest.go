@@ -20,7 +20,8 @@ package qdigest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"streamquantiles/internal/core"
 )
@@ -46,12 +47,11 @@ type Digest struct {
 	// Query-path scratch, struct-owned: queries drain the buffer and so
 	// already demand the same exclusivity as updates (the Safe wrapper
 	// enforces it). Rebuilt per query, allocation-free at steady state.
-	snap    snapCols
-	rawSnap snapCols
-	order   []int
-	steps   stepCols
-	rvals   []uint64
-	rranks  []int64
+	snap   snapCols
+	nodeSc []node
+	spare  []node
+	rvals  []uint64
+	rranks []int64
 }
 
 // maxBits bounds the universe so node ids (2u) fit comfortably in uint64.
@@ -171,14 +171,7 @@ func (d *Digest) compress() {
 }
 
 // level returns the depth of node id: 0 for the root, bits for leaves.
-func (d *Digest) level(id uint64) int {
-	lv := -1
-	for id > 0 {
-		id >>= 1
-		lv++
-	}
-	return lv
-}
+func (d *Digest) level(id uint64) int { return bits.Len64(id) - 1 }
 
 // span returns the universe interval [lo, hi] covered by node id.
 func (d *Digest) span(id uint64) (lo, hi uint64) {
@@ -205,11 +198,63 @@ func (s *snapCols) reset() {
 	s.ws, s.prefix = s.ws[:0], s.prefix[:0]
 }
 
-// stepCols is the columnar rank step function: threshold and delta
-// columns prior to sorting and prefix-summing.
-type stepCols struct {
-	ats []uint64
-	ds  []int64
+// node is one stored node as its heap id and weight: the record the
+// snapshot sorts.
+type node struct {
+	id uint64
+	w  int64
+}
+
+// sortKey is the ascending sort key of node id: its lo when byLo, else
+// its post-order index 2·hi − popcount(hi) + w for a node of width
+// 2^w. The index counts the dyadic intervals that end before hi
+// (1 + the trailing zeros of x+1 end at each x < hi, which sums to
+// 2·hi − popcount(hi)) plus the w narrower ones that end at hi, so one
+// key below 2^(bits+1) carries the (hi ascending, width ascending)
+// post-order for every universe up to maxBits. (hi, width) identifies a
+// dyadic interval uniquely, so the order is total and the map's
+// iteration order cannot leak through.
+func (d *Digest) sortKey(id uint64, byLo bool) uint64 {
+	lo, hi := d.span(id)
+	if byLo {
+		return lo
+	}
+	w := d.bits + 1 - bits.Len64(id)
+	return 2*hi - uint64(bits.OnesCount64(hi)) + uint64(w)
+}
+
+// radixBits is the digit width of sortNodes.
+const radixBits = 11
+
+// sortNodes sorts nodes by sortKey with a stable LSD radix sort over
+// the key's bits+1 bits, using d.spare as the other buffer; it returns
+// the sorted slice and leaves the other buffer in d.spare. A pass whose
+// digit is the same for every node moves nothing.
+func (d *Digest) sortNodes(nodes []node, byLo bool) []node {
+	const mask = 1<<radixBits - 1
+	var count [1 << radixBits]int
+	for shift := 0; shift <= d.bits; shift += radixBits {
+		clear(count[:])
+		for _, nd := range nodes {
+			count[d.sortKey(nd.id, byLo)>>shift&mask]++
+		}
+		if len(nodes) == 0 || count[d.sortKey(nodes[0].id, byLo)>>shift&mask] == len(nodes) {
+			continue
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		out := slices.Grow(d.spare[:0], len(nodes))[:len(nodes)]
+		for _, nd := range nodes {
+			k := d.sortKey(nd.id, byLo) >> shift & mask
+			out[count[k]] = nd
+			count[k]++
+		}
+		nodes, d.spare = out, nodes
+	}
+	return nodes
 }
 
 // Flush drains the pending update buffer into the node map. Queries do
@@ -222,38 +267,21 @@ func (d *Digest) Flush() { d.drain() }
 // digest already requires external synchronization between queries.
 func (d *Digest) snapshot() *snapCols {
 	d.drain()
-	raw := &d.rawSnap
-	raw.reset()
+	nodes := d.nodeSc[:0]
 	for id, w := range d.nodes {
-		lo, hi := d.span(id)
-		raw.los = append(raw.los, lo)
-		raw.his = append(raw.his, hi)
-		raw.ws = append(raw.ws, w)
+		nodes = append(nodes, node{id: id, w: w})
 	}
-	// Index sort over the raw columns, then gather into the sorted set;
-	// (hi, lo) identifies a dyadic interval uniquely, so the order is
-	// total and the map's iteration order cannot leak through.
-	order := d.order[:0]
-	for i := range raw.ws {
-		order = append(order, i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if raw.his[i] != raw.his[j] {
-			return raw.his[i] < raw.his[j]
-		}
-		// Equal right endpoints: the smaller (descendant) interval first.
-		return raw.los[i] > raw.los[j]
-	})
-	d.order = order
+	post := d.sortNodes(nodes, false)
+	d.nodeSc = post
 	s := &d.snap
 	s.reset()
 	var cum int64
-	for _, i := range order {
-		cum += raw.ws[i]
-		s.los = append(s.los, raw.los[i])
-		s.his = append(s.his, raw.his[i])
-		s.ws = append(s.ws, raw.ws[i])
+	for _, nd := range post {
+		lo, hi := d.span(nd.id)
+		cum += nd.w
+		s.los = append(s.los, lo)
+		s.his = append(s.his, hi)
+		s.ws = append(s.ws, nd.w)
 		s.prefix = append(s.prefix, cum)
 	}
 	return s
@@ -317,40 +345,45 @@ func (d *Digest) Rank(x uint64) int64 {
 // a node contributes w/2 once x exceeds its lo and the remaining
 // w − w/2 once x exceeds its hi, so the rank at x is the prefix sum of
 // all step deltas at thresholds ≤ x. Addition is commutative, so the
-// values are identical to the per-x postorder accumulation. The
-// threshold/delta pairs live in parallel columns ordered by an index
-// sort; ties collapse into one threshold, so tie order is immaterial.
+// values are identical to the per-x postorder accumulation. The hi+1
+// steps come out of the post-order s already sorted; the lo+1 steps
+// come from re-sorting by lo the nodes the snapshot left in d.nodeSc,
+// and a two-way merge interleaves the two. Ties collapse into one
+// threshold, so tie order is immaterial.
 func (d *Digest) rankSteps(s *snapCols) ([]uint64, []int64) {
-	st := &d.steps
-	st.ats, st.ds = st.ats[:0], st.ds[:0]
-	for i, w := range s.ws {
-		half := w / 2
-		st.ats = append(st.ats, s.los[i]+1)
-		st.ds = append(st.ds, half)
-		if s.his[i] != ^uint64(0) {
-			// hi = max uint64 can never be exceeded by any x; the full
-			// contribution step would overflow and never fires anyway.
-			st.ats = append(st.ats, s.his[i]+1)
-			st.ds = append(st.ds, w-half)
-		}
-	}
-	order := d.order[:0]
-	for i := range st.ats {
-		order = append(order, i)
-	}
-	sort.Slice(order, func(a, b int) bool { return st.ats[order[a]] < st.ats[order[b]] })
-	d.order = order
+	lows := d.sortNodes(d.nodeSc, true)
+	d.nodeSc = lows
 	vals, ranks := d.rvals[:0], d.rranks[:0]
 	var cum int64
-	for _, i := range order {
-		cum += st.ds[i]
-		if k := len(vals); k > 0 && vals[k-1] == st.ats[i] {
+	add := func(at uint64, delta int64) {
+		cum += delta
+		if k := len(vals); k > 0 && vals[k-1] == at {
 			ranks[k-1] = cum
-			continue
+			return
 		}
-		vals = append(vals, st.ats[i])
+		vals = append(vals, at)
 		ranks = append(ranks, cum)
 	}
+	li := 0
+	addLows := func(upTo uint64) {
+		for ; li < len(lows); li++ {
+			lo, _ := d.span(lows[li].id)
+			if lo+1 > upTo {
+				return
+			}
+			add(lo+1, lows[li].w/2)
+		}
+	}
+	for i, hi := range s.his {
+		if hi == ^uint64(0) {
+			// hi = max uint64 can never be exceeded by any x; the full
+			// contribution step would overflow and never fires anyway.
+			break
+		}
+		addLows(hi + 1)
+		add(hi+1, s.ws[i]-s.ws[i]/2)
+	}
+	addLows(^uint64(0))
 	d.rvals, d.rranks = vals, ranks
 	return vals, ranks
 }
@@ -416,8 +449,7 @@ func (d *Digest) Merge(other *Digest) {
 // plus scalar state and the retained query scratch columns.
 func (d *Digest) SpaceBytes() int64 {
 	words := int64(len(d.nodes))*3 + int64(cap(d.buf)) + 6
-	words += int64(cap(d.snap.los))*4 + int64(cap(d.rawSnap.los))*4 +
-		int64(cap(d.order)) + int64(cap(d.steps.ats))*2 +
+	words += int64(cap(d.snap.los))*4 + int64(cap(d.nodeSc))*2 + int64(cap(d.spare))*2 +
 		int64(cap(d.rvals)) + int64(cap(d.rranks))
 	return words * core.WordBytes
 }

@@ -308,54 +308,40 @@ func (r *Random) Clone() *Random {
 	return c
 }
 
-// samples collects every retained element with its weight 2^level,
-// including the partially filled buffer, sorted by value.
-func (r *Random) samples() []core.WeightedValue {
-	var out []core.WeightedValue
+// ListRuns implements core.RunLister: every retained element with its
+// weight 2^level, one run per non-empty buffer. Full buffers are sorted;
+// the merge sorts a copy of the partially filled one.
+func (r *Random) ListRuns(rs *core.Runs) {
 	for _, b := range r.bufs {
-		if len(b.data) == 0 {
-			continue
-		}
-		w := int64(1) << b.level
-		for _, v := range b.data {
-			out = append(out, core.WeightedValue{V: v, W: w})
-		}
+		rs.AddRun(b.data, int64(1)<<b.level)
 	}
-	core.SortWeighted(out)
-	return out
 }
 
 // Rank implements core.Summary: r̂(x) = Σ_X 2^l(X)·|{v ∈ X : v < x}|.
-func (r *Random) Rank(x uint64) int64 {
-	return core.WeightedRank(r.samples(), x)
-}
+func (r *Random) Rank(x uint64) int64 { return core.RunsRank(r, x) }
 
 // Quantile implements core.Summary.
 func (r *Random) Quantile(phi float64) uint64 {
 	if r.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	return core.WeightedQuantile(r.samples(), phi)
+	return core.RunsQuantile(r, phi)
 }
 
-// QuantileBatch implements core.QuantileBatcher: the retained samples are
-// collected and sorted once for the whole batch.
+// QuantileBatch implements core.QuantileBatcher: the buffers are merged
+// once for the whole batch.
 func (r *Random) QuantileBatch(phis []float64) []uint64 {
 	if r.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	return core.WeightedQuantiles(r.samples(), phis)
+	return core.RunsQuantiles(r, phis)
 }
 
 // RankBatch implements core.QuantileBatcher.
-func (r *Random) RankBatch(xs []uint64) []int64 {
-	return core.WeightedRanks(r.samples(), xs)
-}
+func (r *Random) RankBatch(xs []uint64) []int64 { return core.RunsRanks(r, xs) }
 
 // AppendQuerySnapshot implements core.Snapshotter.
-func (r *Random) AppendQuerySnapshot(qs *core.QuerySnapshot) {
-	core.AppendWeightedSnapshot(qs, r.samples())
-}
+func (r *Random) AppendQuerySnapshot(qs *core.QuerySnapshot) { core.AppendRunsSnapshot(qs, r) }
 
 // Merge folds other into r, preserving the one-pass guarantees in the
 // mergeable-summary sense (the algorithm is inspired by the mergeable
@@ -396,6 +382,9 @@ func (r *Random) Merge(other *Random) {
 		r.mergeLowest()
 		r.compactSlots()
 	}
+	// A merge that needed no mergeLowest still appended slots; drop the
+	// surplus, or repeated merges grow bufs past h+1.
+	r.compactSlots()
 }
 
 func (r *Random) finishPartial(b *buffer) {
@@ -413,17 +402,20 @@ func (r *Random) fullCount() int {
 	return c
 }
 
-// compactSlots drops surplus empty slots beyond the configured b.
+// compactSlots drops surplus empty slots beyond the configured b. One
+// empty slot survives only while the full buffers leave room for it:
+// ingestion fills every empty slot it finds.
 func (r *Random) compactSlots() {
 	if len(r.bufs) <= r.h+1 {
 		return
 	}
+	room := r.h + 1 - r.fullCount()
 	kept := r.bufs[:0]
 	empties := 0
 	for _, b := range r.bufs {
 		if b.full {
 			kept = append(kept, b)
-		} else if empties == 0 && len(kept) < r.h+1 {
+		} else if empties == 0 && room > 0 {
 			kept = append(kept, b)
 			empties++
 		}
