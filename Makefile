@@ -19,12 +19,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The harness package re-runs the paper experiments under the race
-# detector, which alone takes ~7-8 minutes on a small container —
-# raise the per-package timeout above go test's 10m default so the
-# parallel package mix doesn't trip it.
+# Every package but internal/harness: its paper-experiment replay is
+# single-goroutine numerics (no go statements, no sync), so the race
+# detector has nothing to watch there while the replay would dominate
+# the pass. It still runs in `test` and `check`.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/harness$$')
 
 # Repo-specific static analysis (rules SQ001-SQ015); see cmd/quantlint.
 lint:

@@ -242,5 +242,8 @@ func markdownSection(id string, results []harness.Result) string {
 	fmt.Fprintf(&b, "## %s\n\n", harness.Titles()[id])
 	fmt.Fprintf(&b, "**Paper:** %s\n\n", harness.PaperExpectations()[id])
 	fmt.Fprintf(&b, "**Measured:**\n\n```\n%s```\n\n", harness.RenderTable(id, results))
+	if note := harness.ReproductionNotes()[id]; note != "" {
+		fmt.Fprintf(&b, "**Note:** %s\n\n", note)
+	}
 	return b.String()
 }

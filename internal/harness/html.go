@@ -42,12 +42,16 @@ func RenderHTMLPage(sections []HTMLSection, subtitle string) string {
 	fmt.Fprintf(&b, "<p>%s</p>\n", html.EscapeString(subtitle))
 	titles := Titles()
 	expectations := PaperExpectations()
+	notes := ReproductionNotes()
 	for _, sec := range sections {
 		fmt.Fprintf(&b, "<h2 id=%q>%s</h2>\n", html.EscapeString(sec.Exp),
 			html.EscapeString(titles[sec.Exp]))
 		fmt.Fprintf(&b, "<p class=\"paper\"><strong>Paper:</strong> %s</p>\n",
 			html.EscapeString(expectations[sec.Exp]))
 		b.WriteString(renderHTMLTable(sec.Exp, sec.Results))
+		if note := notes[sec.Exp]; note != "" {
+			fmt.Fprintf(&b, "<p class=\"note\"><strong>Note:</strong> %s</p>\n", html.EscapeString(note))
+		}
 	}
 	b.WriteString("</body>\n</html>\n")
 	return b.String()

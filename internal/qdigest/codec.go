@@ -1,16 +1,12 @@
 package qdigest
 
-import (
-	"slices"
-
-	"streamquantiles/internal/core"
-)
+import "streamquantiles/internal/core"
 
 const codecVersion = 1
 
 // MarshalBinary implements encoding.BinaryMarshaler. The encoding is
-// deterministic (nodes are sorted by id) so equal digests encode
-// identically.
+// deterministic (nodes in ascending id order, the storage order) so
+// equal digests encode identically.
 func (d *Digest) MarshalBinary() ([]byte, error) { return d.AppendBinary(nil) }
 
 // AppendBinary implements core.AppendMarshaler: the same bytes as
@@ -24,15 +20,11 @@ func (d *Digest) AppendBinary(dst []byte) ([]byte, error) {
 	e.I64(d.nextCmp)
 	e.I64(d.compressions)
 
-	ids := make([]uint64, 0, len(d.nodes))
-	for id := range d.nodes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	e.U64(uint64(len(ids)))
-	for _, id := range ids {
+	e.U64(uint64(d.stored()))
+	it := nodeIter{d: d}
+	for id, w, ok := it.next(); ok; id, w, ok = it.next() {
 		e.U64(id)
-		e.I64(d.nodes[id])
+		e.I64(w)
 	}
 	e.U64s(d.buf)
 	return e.Bytes(), nil
@@ -68,17 +60,27 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	nd.n = n
 	nd.nextCmp = nextCmp
 	nd.compressions = compressions
+	// Every node takes at least two encoded bytes, which bounds the
+	// columns' reservation by the input actually present.
 	count := dec.Len()
+	if count > dec.Remaining()/2 {
+		return core.Corruptf("qdigest: %d nodes in %d bytes", count, dec.Remaining())
+	}
+	nd.nodes.keys = make([]uint64, 0, count)
+	nd.nodes.ws = make([]int64, 0, count)
 	for i := 0; i < count && dec.Err() == nil; i++ {
 		id := dec.U64()
 		w := dec.I64()
 		if id < 1 || id >= 2*nd.u {
 			return core.Corruptf("qdigest: node id %d outside tree", id)
 		}
+		if i > 0 && id <= nd.nodes.keys[i-1] {
+			return core.Corruptf("qdigest: node id %d after %d: ids not strictly ascending", id, nd.nodes.keys[i-1])
+		}
 		if w < 0 {
 			return core.Corruptf("qdigest: negative node weight %d", w)
 		}
-		nd.nodes[id] = w
+		nd.nodes.push(id, w)
 	}
 	buf := dec.U64s()
 	if err := dec.Err(); err != nil {

@@ -2,6 +2,7 @@ package qdigest
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"streamquantiles/internal/core"
@@ -81,10 +82,79 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	// Node id outside the tree must be rejected.
 	bad := New(0.05, 12)
-	bad.nodes[1<<40] = 5
+	bad.nodes.push(1<<40, 5)
 	blob2, _ := bad.MarshalBinary()
 	var b Digest
 	if err := b.UnmarshalBinary(blob2); err == nil {
 		t.Error("accepted out-of-tree node id")
+	}
+}
+
+// nodeBlob encodes a digest over [0, 16) holding the given leaf-level
+// nodes in the given order, each of weight 1, with consistent counts.
+func nodeBlob(ids ...uint64) []byte {
+	e := core.EncoderFrom(nil)
+	e.U64(codecVersion)
+	e.F64(0.1)
+	e.U64(4)
+	e.I64(int64(len(ids)))
+	e.I64(2 * int64(len(ids)))
+	e.I64(1)
+	e.U64(uint64(len(ids)))
+	for _, id := range ids {
+		e.U64(id)
+		e.I64(1)
+	}
+	e.U64s(nil)
+	return e.Bytes()
+}
+
+func TestCodecRejectsUnorderedIds(t *testing.T) {
+	var d Digest
+	if err := d.UnmarshalBinary(nodeBlob(17, 18, 20)); err != nil {
+		t.Fatalf("ascending ids rejected: %v", err)
+	}
+	if err := d.Invariants(); err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		"duplicate": nodeBlob(17, 18, 18),
+		"unsorted":  nodeBlob(17, 20, 18),
+	} {
+		if err := d.UnmarshalBinary(blob); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s ids: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+func TestCodecRejectsImplausibleNodeCount(t *testing.T) {
+	e := core.EncoderFrom(nil)
+	e.U64(codecVersion)
+	e.F64(0.1)
+	e.U64(4)
+	e.I64(0)
+	e.I64(1)
+	e.I64(0)
+	e.U64(1 << 40) // node count far beyond the bytes that follow
+	var d Digest
+	if err := d.UnmarshalBinary(e.Bytes()); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+}
+
+func TestInvariantsRejectUnorderedIds(t *testing.T) {
+	d := New(0.1, 4)
+	d.nodes.push(18, 1)
+	d.nodes.push(17, 1)
+	d.n = 2
+	if d.Invariants() == nil {
+		t.Error("unsorted columns passed")
+	}
+	d = New(0.1, 4)
+	d.nodes.push(17, 1)
+	d.side.push(17, 1)
+	d.n = 2
+	if d.Invariants() == nil {
+		t.Error("a leaf stored in both the columns and the side run passed")
 	}
 }

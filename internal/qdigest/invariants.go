@@ -6,6 +6,9 @@ import "fmt"
 // properties the (log₂u)·n/k rank-error bound is proved from.
 //
 //   - Every stored node id addresses a real tree node: 1 ≤ id < 2u.
+//   - Ids are strictly ascending in storage order (the columns, with the
+//     side run merged into their leaf tail), so each node is stored
+//     once, and the side run holds only leaves.
 //   - Stored weights are positive (zero-weight nodes are deleted, not
 //     kept).
 //   - Weight conservation: node weights plus pending buffered updates sum
@@ -24,11 +27,22 @@ func (d *Digest) Invariants() error {
 		return fmt.Errorf("qdigest: compression factor %d < 1", d.k)
 	}
 	capacity := d.n / d.k
+	for _, id := range d.side.keys {
+		if id < d.u {
+			return fmt.Errorf("qdigest: side run holds interior node %d", id)
+		}
+	}
 	var sum int64
-	for id, w := range d.nodes {
+	var prev uint64
+	it := nodeIter{d: d}
+	for id, w, ok := it.next(); ok; id, w, ok = it.next() {
 		if id < 1 || id >= 2*d.u {
 			return fmt.Errorf("qdigest: node id %d outside tree [1, %d)", id, 2*d.u)
 		}
+		if id <= prev {
+			return fmt.Errorf("qdigest: node id %d stored after %d: ids not strictly ascending", id, prev)
+		}
+		prev = id
 		if w < 1 {
 			return fmt.Errorf("qdigest: node %d stores non-positive weight %d", id, w)
 		}

@@ -1,6 +1,6 @@
 // Package qdigest implements the q-digest quantile summary of
 // Shrivastava, Buragohain, Agrawal and Suri (SenSys 2004) in the fast,
-// hash-addressed form the paper benchmarks as FastQDigest.
+// buffered form the paper benchmarks as FastQDigest.
 //
 // A q-digest summarizes a stream over the fixed universe [0, u), u a
 // power of two, by maintaining counts on nodes of the dyadic (binary)
@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"streamquantiles/internal/core"
 )
@@ -29,16 +30,21 @@ import (
 // Digest is a q-digest over the universe [0, 2^bits).
 //
 // Nodes are addressed heap-style: the root is 1, node i has children 2i
-// and 2i+1, and leaf u+x represents the value x. The node set lives in a
-// hash map so updates touch only the leaf, with COMPRESS amortized by
-// running each time the stream doubles.
+// and 2i+1, and leaf u+x represents the value x. The node set lives in
+// two parallel columns sorted by heap id. That order is level-major:
+// each tree level is one contiguous run, ordered by position, and the
+// leaves form the tail. Leaves new since the last COMPRESS or query
+// collect in a small sorted side run, folded into the columns once it
+// passes √(2·bufCap·nodes), so a drain never shifts the whole leaf
+// tail. COMPRESS is amortized by running each time the stream doubles.
 type Digest struct {
 	bits  int
 	u     uint64 // universe size 2^bits
 	k     int64  // compression factor
 	eps   float64
 	n     int64
-	nodes map[uint64]int64
+	nodes cols // heap ids ascending, with their weights
+	side  cols // leaves absent from nodes, ids ascending
 
 	buf          []uint64 // pending leaf updates, bulk-applied
 	nextCmp      int64    // run COMPRESS when n reaches this
@@ -47,11 +53,31 @@ type Digest struct {
 	// Query-path scratch, struct-owned: queries drain the buffer and so
 	// already demand the same exclusivity as updates (the Safe wrapper
 	// enforces it). Rebuilt per query, allocation-free at steady state.
-	snap   snapCols
-	nodeSc []node
-	spare  []node
+	// Merge borrows pre for its output: no snapshot outlives a mutation.
+	post   cols // post-order: interval hi and prefix weight
+	pre    cols // pre-order: interval lo and weight
 	rvals  []uint64
 	rranks []int64
+}
+
+// cols is a pair of parallel columns, uint64 keys and int64 weights.
+type cols struct {
+	keys []uint64
+	ws   []int64
+}
+
+func (c *cols) push(key uint64, w int64) {
+	c.keys = append(c.keys, key)
+	c.ws = append(c.ws, w)
+}
+
+func (c *cols) reset() { c.keys, c.ws = c.keys[:0], c.ws[:0] }
+
+// grow extends c by m unset entries.
+func (c *cols) grow(m int) {
+	n := len(c.keys)
+	c.keys = slices.Grow(c.keys, m)[:n+m]
+	c.ws = slices.Grow(c.ws, m)[:n+m]
 }
 
 // maxBits bounds the universe so node ids (2u) fit comfortably in uint64.
@@ -75,7 +101,6 @@ func New(eps float64, bits int) *Digest {
 		u:       uint64(1) << bits,
 		k:       k,
 		eps:     eps,
-		nodes:   make(map[uint64]int64),
 		buf:     make([]uint64, 0, bufCap),
 		nextCmp: 1,
 	}
@@ -97,8 +122,12 @@ func (d *Digest) Count() int64 { return d.n }
 // update buffer.
 func (d *Digest) NodeCount() int {
 	d.drain()
-	return len(d.nodes)
+	return d.stored()
 }
+
+// stored is the number of stored nodes: the side run holds no id of the
+// columns, so the two lengths add up exactly.
+func (d *Digest) stored() int { return len(d.nodes.keys) + len(d.side.keys) }
 
 // Compressions reports how many COMPRESS passes have run.
 func (d *Digest) Compressions() int64 { return d.compressions }
@@ -126,48 +155,265 @@ func (d *Digest) Update(x uint64) {
 // post-compress bound — the trigger that keeps the structure O(k)-sized
 // with O(1) amortized work per update.
 func (d *Digest) drain() {
-	for _, x := range d.buf {
-		d.nodes[d.u+x]++
+	if len(d.buf) > 0 {
+		d.addLeaves()
 	}
-	d.buf = d.buf[:0]
-	if d.n >= d.nextCmp || int64(len(d.nodes)) > 6*d.k {
+	if d.n >= d.nextCmp || int64(d.stored()) > 6*d.k {
 		d.compress()
 		d.nextCmp = 2 * d.n
 	}
 }
 
+// addLeaves applies the pending buffer. It sorts the buffer, then gallops
+// each distinct value's leaf through the leaf tail of the columns and
+// through the side run; a stored leaf takes the value's count, and the
+// values of new leaves are compacted to the front of the buffer and
+// merged into the side run. The side run is folded into the columns once
+// its length passes √(2·bufCap·nodes), which balances merging into it on
+// every drain against shifting the leaf tail on every fold.
+func (d *Digest) addLeaves() {
+	xs := d.buf
+	d.sortBuf(xs)
+	ids, ws := d.nodes.keys, d.nodes.ws
+	side := &d.side
+	i, _ := slices.BinarySearch(ids, d.u)
+	j, fresh := 0, 0
+	for a := 0; a < len(xs); {
+		x := xs[a]
+		b := a + 1
+		for b < len(xs) && xs[b] == x {
+			b++
+		}
+		id, c := d.u+x, int64(b-a)
+		a = b
+		if i = gallop(ids, i, id); i < len(ids) && ids[i] == id {
+			ws[i] += c
+			continue
+		}
+		if j = gallop(side.keys, j, id); j < len(side.keys) && side.keys[j] == id {
+			side.ws[j] += c
+			continue
+		}
+		for ; c > 0; c-- {
+			xs[fresh] = x // fresh ≤ the group's start: only consumed slots are written
+			fresh++
+		}
+	}
+	d.buf = xs[:0]
+	if fresh == 0 {
+		return
+	}
+	// Merge the new leaves into the side run from the back, in place.
+	m := 1
+	for t := 1; t < fresh; t++ {
+		if xs[t] != xs[t-1] {
+			m++
+		}
+	}
+	s := len(side.keys)
+	side.grow(m)
+	k := s + m - 1
+	for e := fresh; e > 0; k-- {
+		b := e - 1
+		for b > 0 && xs[b-1] == xs[e-1] {
+			b--
+		}
+		id := d.u + xs[b]
+		for ; s > 0 && side.keys[s-1] > id; s-- {
+			side.keys[k], side.ws[k] = side.keys[s-1], side.ws[s-1]
+			k--
+		}
+		side.keys[k], side.ws[k] = id, int64(e-b)
+		e = b
+	}
+	if l := len(side.keys); l*l > 2*bufCap*len(ids) {
+		d.settle()
+	}
+}
+
+// gallop returns the first index i ≥ from with s[i] ≥ key, given that
+// every entry before from is below key: an exponential probe forward,
+// then a branch-free search inside the bracket it found.
+func gallop(s []uint64, from int, key uint64) int {
+	lo, hi := from, from
+	for step := 1; hi < len(s) && s[hi] < key; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	return lo + core.SearchGe(s[lo:min(hi, len(s))], key)
+}
+
+// radixPool recycles the second buffer of sortBuf: scratch that lives
+// for one drain, shared by every digest.
+var radixPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// sortBuf sorts pending values in place with an LSD radix sort, 8-bit
+// digits over the universe's bits; a pass whose digit never varies
+// moves nothing.
+func (d *Digest) sortBuf(xs []uint64) {
+	if len(xs) < 2 {
+		return
+	}
+	tmp := radixPool.Get().(*[]uint64)
+	defer radixPool.Put(tmp)
+	*tmp = slices.Grow((*tmp)[:0], len(xs))[:len(xs)]
+	src, dst := xs, *tmp
+	var count [256]int
+	for shift := 0; shift < d.bits; shift += 8 {
+		clear(count[:])
+		for _, x := range src {
+			count[x>>shift&0xff]++
+		}
+		if count[src[0]>>shift&0xff] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, c := range count {
+			count[i], sum = sum, sum+c
+		}
+		for _, x := range src {
+			k := x >> shift & 0xff
+			dst[count[k]] = x
+			count[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
+}
+
+// settle folds the side run into the leaf tail of the columns: a merge
+// from the back, in place, that moves only the leaves above the smallest
+// side id.
+func (d *Digest) settle() {
+	src := &d.side
+	if len(src.keys) == 0 {
+		return
+	}
+	dst := &d.nodes
+	i := len(dst.keys)
+	dst.grow(len(src.keys))
+	k := len(dst.keys) - 1
+	for j := len(src.keys) - 1; j >= 0; j-- {
+		id := src.keys[j]
+		for ; i > 0 && dst.keys[i-1] > id; i-- {
+			dst.keys[k], dst.ws[k] = dst.keys[i-1], dst.ws[i-1]
+			k--
+		}
+		dst.keys[k], dst.ws[k] = id, src.ws[j]
+		k--
+	}
+	src.reset()
+}
+
+// foldPool recycles COMPRESS's fold-parent buffers: scratch that lives
+// for one pass, shared by every digest.
+var foldPool = sync.Pool{New: func() any { return new([2]cols) }}
+
 // compress restores the digest property bottom-up: any stored non-root
 // node whose triangle (self + sibling + parent) fits within ⌊n/k⌋ is
 // folded into its parent. Folds cascade within a single pass: a parent
-// created by a fold is appended to its level's worklist and reconsidered
-// when the sweep reaches that level.
+// created or grown by a fold joins its level's run and is reconsidered
+// when the walk reaches that level.
+//
+// Each level is walked in descending id order, the stored run merged
+// with the parents folded up from the level below; sibling pairs meet
+// consecutively, and their parents descend, so one cursor into the
+// parent level's run finds each parent's stored weight. A pair's fold
+// decision reads only the pair and its parent, which no other pair
+// touches, so it matches the decision of any other visiting order. The
+// nodes kept are written right to left into the same columns, ending at
+// the top: every fold removes at least one node of the merged run for
+// the one parent it adds, so the write cursor never passes the read
+// cursor, and it never reaches the parent level's run. The folded
+// parents of a level wait in a pooled buffer.
 func (d *Digest) compress() {
 	d.compressions++
 	capacity := d.n / d.k
 	if capacity <= 0 {
 		return
 	}
-	levels := make([][]uint64, d.bits+1)
-	for id := range d.nodes {
-		levels[d.level(id)] = append(levels[d.level(id)], id)
+	d.settle()
+	ids, ws := d.nodes.keys, d.nodes.ws
+	var start [maxBits + 2]int // start[lv] = first index of level lv's run
+	for lv := 1; lv <= d.bits; lv++ {
+		start[lv], _ = slices.BinarySearch(ids, uint64(1)<<lv)
 	}
-	for lv := d.bits; lv >= 1; lv-- {
-		for _, id := range levels[lv] {
-			c, ok := d.nodes[id]
-			if !ok {
-				continue // already folded as a sibling
+	start[d.bits+1] = len(ids)
+	// Parents folded up from the level below, descending.
+	folds := foldPool.Get().(*[2]cols)
+	defer foldPool.Put(folds)
+	up, next := &folds[0], &folds[1]
+	up.reset()
+	w := len(ids)
+	for lv := d.bits; lv >= 0; lv-- {
+		upIds, upWs := up.keys, up.ws
+		a, lo, p := start[lv+1]-1, start[lv], 0
+		groups := a - lo + 1 + len(upIds) // bounds the folds
+		nIds, nWs := slices.Grow(next.keys[:0], groups)[:groups], slices.Grow(next.ws[:0], groups)[:groups]
+		nf := 0
+		par, parLo := lo-1, start[max(lv-1, 0)]
+	walk:
+		for {
+			// Take the largest id left; a folded parent's total already
+			// includes the weight of the stored node it replaces.
+			var id uint64
+			var c int64
+			switch {
+			case p < len(upIds) && (a < lo || upIds[p] >= ids[a]):
+				id, c = upIds[p], upWs[p]
+				if p++; a >= lo && ids[a] == id {
+					a--
+				}
+			case a >= lo:
+				id, c = ids[a], ws[a]
+				a--
+			default:
+				break walk
 			}
-			sib := id ^ 1
-			par := id >> 1
-			total := c + d.nodes[sib] + d.nodes[par]
-			if total <= capacity {
-				d.nodes[par] = total
-				delete(d.nodes, id)
-				delete(d.nodes, sib)
-				levels[lv-1] = append(levels[lv-1], par)
+			// A right child meets its left sibling next, if stored.
+			var sc int64
+			pair := false
+			if id&1 == 1 {
+				switch sib := id - 1; {
+				case p < len(upIds) && upIds[p] == sib:
+					sc, pair = upWs[p], true
+					if p++; a >= lo && ids[a] == sib {
+						a--
+					}
+				case a >= lo && ids[a] == sib:
+					sc, pair = ws[a], true
+					a--
+				}
+			}
+			if lv > 0 {
+				pid, total := id>>1, c+sc
+				for par >= parLo && ids[par] > pid {
+					par--
+				}
+				if par >= parLo && ids[par] == pid {
+					total += ws[par]
+				}
+				if total <= capacity {
+					nIds[nf], nWs[nf] = pid, total
+					nf++
+					continue
+				}
+			}
+			w--
+			ids[w], ws[w] = id, c
+			if pair {
+				w--
+				ids[w], ws[w] = id-1, sc
 			}
 		}
+		next.keys, next.ws = nIds[:nf], nWs[:nf]
+		up, next = next, up
 	}
+	n := copy(ids, ids[w:])
+	copy(ws, ws[w:])
+	d.nodes.keys, d.nodes.ws = ids[:n], ws[:n]
 }
 
 // level returns the depth of node id: 0 for the root, bits for leaves.
@@ -183,108 +429,122 @@ func (d *Digest) span(id uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
-// snapCols is the columnar post-order snapshot: parallel lo/hi/weight
-// columns sorted by (interval hi, interval size) — the traversal used
-// for rank accumulation — plus the running prefix weight, which turns
-// quantile extraction into a single search on a sorted column.
-type snapCols struct {
-	los, his []uint64
-	ws       []int64
-	prefix   []int64 // prefix[i] = Σ ws[0..i]
-}
-
-func (s *snapCols) reset() {
-	s.los, s.his = s.los[:0], s.his[:0]
-	s.ws, s.prefix = s.ws[:0], s.prefix[:0]
-}
-
-// node is one stored node as its heap id and weight: the record the
-// snapshot sorts.
-type node struct {
-	id uint64
-	w  int64
-}
-
-// sortKey is the ascending sort key of node id: its lo when byLo, else
-// its post-order index 2·hi − popcount(hi) + w for a node of width
-// 2^w. The index counts the dyadic intervals that end before hi
-// (1 + the trailing zeros of x+1 end at each x < hi, which sums to
-// 2·hi − popcount(hi)) plus the w narrower ones that end at hi, so one
-// key below 2^(bits+1) carries the (hi ascending, width ascending)
-// post-order for every universe up to maxBits. (hi, width) identifies a
-// dyadic interval uniquely, so the order is total and the map's
-// iteration order cannot leak through.
-func (d *Digest) sortKey(id uint64, byLo bool) uint64 {
-	lo, hi := d.span(id)
-	if byLo {
-		return lo
-	}
-	w := d.bits + 1 - bits.Len64(id)
-	return 2*hi - uint64(bits.OnesCount64(hi)) + uint64(w)
-}
-
-// radixBits is the digit width of sortNodes.
-const radixBits = 11
-
-// sortNodes sorts nodes by sortKey with a stable LSD radix sort over
-// the key's bits+1 bits, using d.spare as the other buffer; it returns
-// the sorted slice and leaves the other buffer in d.spare. A pass whose
-// digit is the same for every node moves nothing.
-func (d *Digest) sortNodes(nodes []node, byLo bool) []node {
-	const mask = 1<<radixBits - 1
-	var count [1 << radixBits]int
-	for shift := 0; shift <= d.bits; shift += radixBits {
-		clear(count[:])
-		for _, nd := range nodes {
-			count[d.sortKey(nd.id, byLo)>>shift&mask]++
-		}
-		if len(nodes) == 0 || count[d.sortKey(nodes[0].id, byLo)>>shift&mask] == len(nodes) {
-			continue
-		}
-		sum := 0
-		for i, c := range count {
-			count[i] = sum
-			sum += c
-		}
-		out := slices.Grow(d.spare[:0], len(nodes))[:len(nodes)]
-		for _, nd := range nodes {
-			k := d.sortKey(nd.id, byLo) >> shift & mask
-			out[count[k]] = nd
-			count[k]++
-		}
-		nodes, d.spare = out, nodes
-	}
-	return nodes
-}
-
-// Flush drains the pending update buffer into the node map. Queries do
-// this implicitly; Flush lets callers — notably the Safe wrappers,
+// Flush drains the pending update buffer into the node columns. Queries
+// do this implicitly; Flush lets callers — notably the Safe wrappers,
 // which use it to detect query-time mutation — force it explicitly.
 func (d *Digest) Flush() { d.drain() }
 
-// snapshot rebuilds the columnar post-order view in d.snap. All scratch
-// is struct-owned: queries drain the pending buffer (a mutation), so the
-// digest already requires external synchronization between queries.
-func (d *Digest) snapshot() *snapCols {
+// levelHead is one level run's cursor in the snapshot's pre-order merge,
+// keyed by the lo of the node it points at.
+type levelHead struct {
+	lo       uint64
+	lv       int
+	pos, end int
+}
+
+// before orders heads by (lo, level): at equal lo the wider node, an
+// ancestor of the other, comes first.
+func (h *levelHead) before(o *levelHead) bool {
+	return h.lo < o.lo || h.lo == o.lo && h.lv < o.lv
+}
+
+// levelHeap is a binary min-heap of level heads, at most one per level.
+type levelHeap struct {
+	h [maxBits + 1]levelHead
+	n int
+}
+
+func (q *levelHeap) siftDown(i int) {
+	for {
+		c := 2*i + 1
+		if c >= q.n {
+			return
+		}
+		if c+1 < q.n && q.h[c+1].before(&q.h[c]) {
+			c++
+		}
+		if !q.h[c].before(&q.h[i]) {
+			return
+		}
+		q.h[i], q.h[c] = q.h[c], q.h[i]
+		i = c
+	}
+}
+
+// snapshot rebuilds the query columns from the level runs without
+// sorting. The nodes are listed in pre-order (lo ascending, wider
+// first) into d.pre: a heap keyed by (lo, level) merges the ≤ bits
+// interior level runs, and the leaf run — the tail of the columns and
+// often most of the nodes — merges against the heap's top instead of
+// entering it. A stack of the open intervals — nested, so at most
+// bits+1 deep — turns that into the post-order (interval hi ascending,
+// narrower first) of d.post, the traversal used for rank accumulation,
+// with the running prefix weight that turns quantile extraction into a
+// single search on a sorted column. A node leaves the stack when the
+// next node in pre-order starts past its hi: by then every node inside
+// it has been listed. All scratch is struct-owned: queries drain the
+// pending buffer (a mutation), so the digest already requires external
+// synchronization between queries.
+func (d *Digest) snapshot() {
 	d.drain()
-	nodes := d.nodeSc[:0]
-	for id, w := range d.nodes {
-		nodes = append(nodes, node{id: id, w: w})
+	d.settle()
+	ids, ws, b := d.nodes.keys, d.nodes.ws, d.bits
+	var q levelHeap
+	s := 0
+	for lv := 0; lv < b && s < len(ids); lv++ {
+		e, _ := slices.BinarySearch(ids[s:], uint64(2)<<lv)
+		if e > 0 {
+			q.h[q.n] = levelHead{lo: (ids[s] - uint64(1)<<lv) << (b - lv), lv: lv, pos: s, end: s + e}
+			q.n++
+		}
+		s += e
 	}
-	post := d.sortNodes(nodes, false)
-	d.nodeSc = post
-	s := &d.snap
-	s.reset()
+	for i := q.n/2 - 1; i >= 0; i-- {
+		q.siftDown(i)
+	}
+	n, leaf := len(ids), s
+	los, lws := slices.Grow(d.pre.keys[:0], n)[:n], slices.Grow(d.pre.ws[:0], n)[:n]
+	his, prefix := slices.Grow(d.post.keys[:0], n)[:n], slices.Grow(d.post.ws[:0], n)[:n]
+	var openHi [maxBits + 1]uint64
+	var openW [maxBits + 1]int64
+	open, k := 0, 0
 	var cum int64
-	for _, nd := range post {
-		lo, hi := d.span(nd.id)
-		cum += nd.w
-		s.los = append(s.los, lo)
-		s.his = append(s.his, hi)
-		s.ws = append(s.ws, nd.w)
-		s.prefix = append(s.prefix, cum)
+	for i := range n {
+		var lo, hi uint64
+		var w int64
+		if leaf < n && (q.n == 0 || ids[leaf]-d.u < q.h[0].lo) {
+			lo, w = ids[leaf]-d.u, ws[leaf]
+			hi = lo
+			leaf++
+		} else {
+			t := &q.h[0]
+			lo, w = t.lo, ws[t.pos]
+			hi = lo + (uint64(1)<<(b-t.lv) - 1)
+			if t.pos++; t.pos < t.end {
+				t.lo = (ids[t.pos] - uint64(1)<<t.lv) << (b - t.lv)
+			} else {
+				q.n--
+				q.h[0] = q.h[q.n]
+			}
+			q.siftDown(0)
+		}
+		for open > 0 && openHi[open-1] < lo {
+			open--
+			cum += openW[open]
+			his[k], prefix[k] = openHi[open], cum
+			k++
+		}
+		los[i], lws[i] = lo, w
+		openHi[open], openW[open] = hi, w
+		open++
 	}
-	return s
+	for open > 0 {
+		open--
+		cum += openW[open]
+		his[k], prefix[k] = openHi[open], cum
+		k++
+	}
+	d.pre, d.post = cols{los, lws}, cols{his, prefix}
 }
 
 // Quantile implements core.Summary: report the right endpoint of the
@@ -295,13 +555,19 @@ func (d *Digest) Quantile(phi float64) uint64 {
 	if d.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	target := core.TargetRank(phi, d.n) + 1
-	s := d.snapshot()
-	lo := core.SearchGe(s.prefix, target)
-	if lo >= len(s.his) {
-		lo = len(s.his) - 1
+	d.snapshot()
+	return d.quantileAt(core.TargetRank(phi, d.n) + 1)
+}
+
+// quantileAt returns the hi of the first post-order node whose prefix
+// weight reaches target.
+func (d *Digest) quantileAt(target int64) uint64 {
+	his := d.post.keys
+	i := core.SearchGe(d.post.ws, target)
+	if i >= len(his) {
+		i = len(his) - 1
 	}
-	return s.his[lo]
+	return his[i]
 }
 
 // QuantileBatch implements core.QuantileBatcher: one snapshot answers
@@ -311,31 +577,29 @@ func (d *Digest) QuantileBatch(phis []float64) []uint64 {
 	if d.n == 0 {
 		panic(core.ErrEmpty)
 	}
-	s := d.snapshot()
+	d.snapshot()
 	out := make([]uint64, len(phis))
 	for i, phi := range phis {
 		core.CheckPhi(phi)
-		target := core.TargetRank(phi, d.n) + 1
-		lo := core.SearchGe(s.prefix, target)
-		if lo >= len(s.his) {
-			lo = len(s.his) - 1
-		}
-		out[i] = s.his[lo]
+		out[i] = d.quantileAt(core.TargetRank(phi, d.n) + 1)
 	}
 	return out
 }
 
 // Rank implements core.Summary: nodes entirely below x count fully,
-// nodes straddling x count half (midpoint convention).
+// nodes straddling x count half (midpoint convention). The sum does not
+// depend on the visiting order, so it walks the stored nodes as they lie.
 func (d *Digest) Rank(x uint64) int64 {
-	s := d.snapshot()
+	d.drain()
 	var r int64
-	for i, hi := range s.his {
-		switch {
-		case hi < x:
-			r += s.ws[i]
-		case s.los[i] < x:
-			r += s.ws[i] / 2
+	for _, c := range [2]*cols{&d.nodes, &d.side} {
+		for i, id := range c.keys {
+			switch lo, hi := d.span(id); {
+			case hi < x:
+				r += c.ws[i]
+			case lo < x:
+				r += c.ws[i] / 2
+			}
 		}
 	}
 	return r
@@ -345,54 +609,49 @@ func (d *Digest) Rank(x uint64) int64 {
 // a node contributes w/2 once x exceeds its lo and the remaining
 // w − w/2 once x exceeds its hi, so the rank at x is the prefix sum of
 // all step deltas at thresholds ≤ x. Addition is commutative, so the
-// values are identical to the per-x postorder accumulation. The hi+1
-// steps come out of the post-order s already sorted; the lo+1 steps
-// come from re-sorting by lo the nodes the snapshot left in d.nodeSc,
-// and a two-way merge interleaves the two. Ties collapse into one
-// threshold, so tie order is immaterial.
-func (d *Digest) rankSteps(s *snapCols) ([]uint64, []int64) {
-	lows := d.sortNodes(d.nodeSc, true)
-	d.nodeSc = lows
-	vals, ranks := d.rvals[:0], d.rranks[:0]
-	var cum int64
-	add := func(at uint64, delta int64) {
-		cum += delta
-		if k := len(vals); k > 0 && vals[k-1] == at {
+// values are identical to the per-x postorder accumulation. The lo+1
+// steps come from the snapshot's pre-order, the hi+1 steps from its
+// post-order (a node's weight is the difference of adjacent prefix
+// weights), both already sorted, and a two-way merge interleaves them.
+// Ties collapse into one threshold, so tie order is immaterial; bits ≤
+// 62 keeps hi+1 from overflowing.
+func (d *Digest) rankSteps() ([]uint64, []int64) {
+	los, lws := d.pre.keys, d.pre.ws
+	his, prefix := d.post.keys, d.post.ws
+	m := len(los) + len(his)
+	vals, ranks := slices.Grow(d.rvals[:0], m)[:m], slices.Grow(d.rranks[:0], m)[:m]
+	k, li, hi := 0, 0, 0
+	var cum, prev int64
+	for li < len(los) || hi < len(his) {
+		var at uint64
+		if hi == len(his) || li < len(los) && los[li] <= his[hi] {
+			at = los[li] + 1
+			cum += lws[li] / 2
+			li++
+		} else {
+			w := prefix[hi] - prev
+			prev = prefix[hi]
+			at = his[hi] + 1
+			cum += w - w/2
+			hi++
+		}
+		if k > 0 && vals[k-1] == at {
 			ranks[k-1] = cum
-			return
+			continue
 		}
-		vals = append(vals, at)
-		ranks = append(ranks, cum)
+		vals[k], ranks[k] = at, cum
+		k++
 	}
-	li := 0
-	addLows := func(upTo uint64) {
-		for ; li < len(lows); li++ {
-			lo, _ := d.span(lows[li].id)
-			if lo+1 > upTo {
-				return
-			}
-			add(lo+1, lows[li].w/2)
-		}
-	}
-	for i, hi := range s.his {
-		if hi == ^uint64(0) {
-			// hi = max uint64 can never be exceeded by any x; the full
-			// contribution step would overflow and never fires anyway.
-			break
-		}
-		addLows(hi + 1)
-		add(hi+1, s.ws[i]-s.ws[i]/2)
-	}
-	addLows(^uint64(0))
-	d.rvals, d.rranks = vals, ranks
-	return vals, ranks
+	d.rvals, d.rranks = vals[:k], ranks[:k]
+	return d.rvals, d.rranks
 }
 
 // RankBatch implements core.QuantileBatcher: the step function is built
-// once (O(s log s)), then every query is a branch-free search for the
-// largest threshold ≤ x.
+// once (O(s log levels)), then every query is a branch-free search for
+// the largest threshold ≤ x.
 func (d *Digest) RankBatch(xs []uint64) []int64 {
-	vals, ranks := d.rankSteps(d.snapshot())
+	d.snapshot()
+	vals, ranks := d.rankSteps()
 	out := make([]int64, len(xs))
 	for i, x := range xs {
 		if lo := core.SearchGt(vals, x); lo > 0 {
@@ -412,17 +671,36 @@ func (d *Digest) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	if d.n == 0 {
 		return
 	}
-	s := d.snapshot()
-	qs.QVals = append(qs.QVals, s.his...)
-	qs.QKeys = append(qs.QKeys, s.prefix...)
-	vals, ranks := d.rankSteps(s)
+	d.snapshot()
+	qs.QVals = append(qs.QVals, d.post.keys...)
+	qs.QKeys = append(qs.QKeys, d.post.ws...)
+	vals, ranks := d.rankSteps()
 	qs.RVals = append(qs.RVals, vals...)
 	qs.RRanks = append(qs.RRanks, ranks...)
 }
 
-// Merge folds other into d. Both digests must share eps and universe;
-// other is left unchanged. This is the mergeable-summary operation that
-// distinguishes q-digest from the other deterministic algorithms.
+// nodeIter lists the node set in ascending id order without changing the
+// digest: the columns, with the side run merged into their leaf tail.
+type nodeIter struct {
+	d    *Digest
+	i, j int
+}
+
+func (it *nodeIter) next() (id uint64, w int64, ok bool) {
+	a, b := &it.d.nodes, &it.d.side
+	switch {
+	case it.i < len(a.keys) && (it.j == len(b.keys) || a.keys[it.i] < b.keys[it.j]):
+		id, w = a.keys[it.i], a.ws[it.i]
+		it.i++
+	case it.j < len(b.keys):
+		id, w = b.keys[it.j], b.ws[it.j]
+		it.j++
+	default:
+		return 0, 0, false
+	}
+	return id, w, true
+}
+
 // checkCompatible validates a merge partner: both digests must share
 // the universe size and the compression factor k.
 func (d *Digest) checkCompatible(other *Digest) {
@@ -431,25 +709,46 @@ func (d *Digest) checkCompatible(other *Digest) {
 	}
 }
 
+// Merge folds other into d. Both digests must share eps and universe;
+// other is left unchanged. This is the mergeable-summary operation that
+// distinguishes q-digest from the other deterministic algorithms: a
+// merge of the two sorted node sets, adding the weights of shared ids,
+// then a COMPRESS.
 func (d *Digest) Merge(other *Digest) {
 	d.checkCompatible(other)
 	d.drain()
 	other.drain()
-	for id, w := range other.nodes {
-		d.nodes[id] += w
+	d.settle()
+	out, a := &d.pre, d.nodes
+	out.reset()
+	it := nodeIter{d: other}
+	i := 0
+	for id, w, ok := it.next(); ok; id, w, ok = it.next() {
+		for ; i < len(a.keys) && a.keys[i] < id; i++ {
+			out.push(a.keys[i], a.ws[i])
+		}
+		if i < len(a.keys) && a.keys[i] == id {
+			w += a.ws[i]
+			i++
+		}
+		out.push(id, w)
 	}
+	for ; i < len(a.keys); i++ {
+		out.push(a.keys[i], a.ws[i])
+	}
+	d.nodes, d.pre = *out, cols{a.keys[:0], a.ws[:0]}
 	d.n += other.n
 	d.compress()
 	d.nextCmp = 2 * d.n
 }
 
-// SpaceBytes implements core.Summary. Each stored node is charged three
-// words (id, counter, and one word of hash-table overhead), pending
-// buffer slots one word each (by capacity, as they are pre-allocated),
-// plus scalar state and the retained query scratch columns.
+// SpaceBytes implements core.Summary. Each stored node is charged two
+// words (id and counter), pending buffer slots one word each (by
+// capacity, as they are pre-allocated), plus scalar state and the
+// retained query scratch columns.
 func (d *Digest) SpaceBytes() int64 {
-	words := int64(len(d.nodes))*3 + int64(cap(d.buf)) + 6
-	words += int64(cap(d.snap.los))*4 + int64(cap(d.nodeSc))*2 + int64(cap(d.spare))*2 +
+	words := int64(d.stored())*2 + int64(cap(d.buf)) + 6
+	words += int64(cap(d.post.keys)+cap(d.post.ws)+cap(d.pre.keys)+cap(d.pre.ws)) +
 		int64(cap(d.rvals)) + int64(cap(d.rranks))
 	return words * core.WordBytes
 }
@@ -458,9 +757,11 @@ func (d *Digest) SpaceBytes() int64 {
 // entries; it must always equal Count(). Test hook for the conservation
 // invariant.
 func (d *Digest) TotalWeight() int64 {
-	var sum int64
-	for _, w := range d.nodes {
-		sum += w
+	sum := int64(len(d.buf))
+	for _, c := range [2]*cols{&d.nodes, &d.side} {
+		for _, w := range c.ws {
+			sum += w
+		}
 	}
-	return sum + int64(len(d.buf))
+	return sum
 }

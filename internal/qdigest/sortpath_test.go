@@ -10,15 +10,26 @@ import (
 	"streamquantiles/internal/streamgen"
 )
 
-// indexSortReference is the rebuild the typed sorts replaced: raw
-// lo/hi/weight columns gathered through an index sort into post-order,
-// and the rank steps index-sorted by threshold, as a snapshot.
+// indexSortReference is the rebuild the level-run merge replaced, via
+// nodeSetSnapshot.
 func indexSortReference(d *Digest) *core.QuerySnapshot {
 	d.drain()
+	nodes := make(map[uint64]int64)
+	it := nodeIter{d: d}
+	for id, w, ok := it.next(); ok; id, w, ok = it.next() {
+		nodes[id] = w
+	}
+	return nodeSetSnapshot(d.bits, d.n, nodes)
+}
+
+// nodeSetSnapshot builds the query snapshot of a node set by sorting:
+// raw lo/hi/weight columns gathered through an index sort into
+// post-order, and the rank steps index-sorted by threshold.
+func nodeSetSnapshot(bits int, n int64, nodes map[uint64]int64) *core.QuerySnapshot {
 	var los, his []uint64
 	var ws []int64
-	for id, w := range d.nodes {
-		lo, hi := d.span(id)
+	for id, w := range nodes {
+		lo, hi := (&Digest{bits: bits}).span(id)
 		los, his, ws = append(los, lo), append(his, hi), append(ws, w)
 	}
 	order := make([]int, len(ws))
@@ -32,7 +43,7 @@ func indexSortReference(d *Digest) *core.QuerySnapshot {
 		}
 		return los[i] > los[j]
 	})
-	ref := &core.QuerySnapshot{N: d.n}
+	ref := &core.QuerySnapshot{N: n}
 	var ats []uint64
 	var ds []int64
 	var cum int64
