@@ -263,6 +263,37 @@ func BenchmarkPostProcessDCS(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildQuerySnapshot times what the first query after a write
+// pays in the snapshot caches: a fresh core.BuildQuerySnapshot per op,
+// allocation included (BenchmarkAppendQuerySnapshot reuses one
+// snapshot's capacity and so reports none), per family at the benchmark
+// roster's shape: ε = 0.001, uniform 2^24, n = 2^18.
+func BenchmarkBuildQuerySnapshot(b *testing.B) {
+	data := streamgen.Generate(streamgen.Uniform{Bits: 24, Seed: 1}, 1<<18)
+	for _, fam := range []struct {
+		name  string
+		fresh func() CashRegister
+	}{
+		{"kll", func() CashRegister { return NewKLL(0.001, 1) }},
+		{"mrl", func() CashRegister { return NewMRL99(0.001, 1) }},
+		{"random", func() CashRegister { return NewRandom(0.001, 1) }},
+		{"qdigest", func() CashRegister { return NewQDigest(0.001, 24) }},
+		{"gkarray", func() CashRegister { return NewGKArray(0.001) }},
+	} {
+		b.Run(fam.name, func(b *testing.B) {
+			s := fam.fresh()
+			UpdateBatch(s, data)
+			ss := s.(core.Snapshotter)
+			core.BuildQuerySnapshot(ss)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.BuildQuerySnapshot(ss)
+			}
+		})
+	}
+}
+
 // BenchmarkAppendQuerySnapshot times one query-snapshot rebuild — the
 // cost the first query after a write pays — per family at the
 // benchmark roster's shape: ε = 0.001, uniform 2^24, n = 2^18.

@@ -98,8 +98,14 @@ func WeightedRanks(sorted []WeightedValue, xs []uint64) []int64 {
 // families via a running-max key transform, QDigest via its postorder
 // scan, and the sample-based families via cumulative weights) implement
 // Snapshotter; their snapshots return byte-identical answers to the
-// live summary. See DESIGN.md "Query snapshots" for the per-family
-// flattening argument.
+// live summary. For the sample-based families the two sides are the
+// same pairs, so RVals and RRanks share QVals' and QKeys' arrays: one
+// value column and one cumulative-weight column, written by the run
+// merge in a single pass. Builds size every column once, at its final
+// length, so a fresh snapshot's arrays are exactly full: nothing
+// appended to one column can reach into a shared one, and a published
+// snapshot stays immutable. See DESIGN.md "Query snapshots" for the
+// per-family flattening argument.
 type QuerySnapshot struct {
 	N       int64 // quantile target base: count, or total sample weight
 	QVals   []uint64
@@ -125,14 +131,37 @@ func BuildQuerySnapshot(s Snapshotter) *QuerySnapshot {
 	return qs
 }
 
-// Reset truncates the snapshot for rebuilding, keeping capacity.
+// Reset truncates the snapshot for rebuilding, keeping capacity. Rank
+// columns that share the quantile columns' arrays are dropped first, so
+// a family that fills the two sides separately never writes one through
+// the other.
 func (qs *QuerySnapshot) Reset() {
+	if cap(qs.RVals) > 0 && cap(qs.QVals) > 0 && &qs.RVals[:1][0] == &qs.QVals[:1][0] {
+		qs.RVals, qs.RRanks = nil, nil
+	}
 	qs.N = 0
 	qs.QVals = qs.QVals[:0]
 	qs.QKeys = qs.QKeys[:0]
 	qs.RVals = qs.RVals[:0]
 	qs.RRanks = qs.RRanks[:0]
 	qs.RStrict = false
+}
+
+// Grow resets the snapshot and makes room for nq quantile entries and nr
+// rank entries. A column whose capacity falls short is allocated anew at
+// exactly its size.
+func (qs *QuerySnapshot) Grow(nq, nr int) {
+	qs.Reset()
+	qs.QVals, qs.QKeys = growExact(qs.QVals, nq), growExact(qs.QKeys, nq)
+	qs.RVals, qs.RRanks = growExact(qs.RVals, nr), growExact(qs.RRanks, nr)
+}
+
+// growExact returns s emptied, with capacity for n elements.
+func growExact[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Quantile answers a quantile query from the snapshot.
@@ -201,10 +230,11 @@ func (qs *QuerySnapshot) RankBatch(xs []uint64) []int64 {
 }
 
 // AppendWeightedSnapshot flattens a value-sorted sample set into qs:
-// the quantile and rank sides share the cumulative-weight arrays, and N
+// both sides hold the same (value, cumulative weight) pairs, and N
 // is the total sample weight (the quantile target base the sampling
 // families use). Answers are byte-identical to WeightedQuantile[s] and
-// WeightedRank[s] over the same samples.
+// WeightedRank[s] over the same samples. It is the reference the run
+// merge's snapshots (AppendRunsSnapshot) are tested against.
 func AppendWeightedSnapshot(qs *QuerySnapshot, sorted []WeightedValue) {
 	qs.Reset()
 	var cum int64

@@ -308,19 +308,25 @@ func queryRanks(seq tupleSeq, xs []uint64) []int64 {
 // tuple with v_i < x, and 0 before the first tuple — the strict-lookup
 // (RStrict) snapshot form, so duplicates of x itself never count into
 // its own rank.
+//
+// The maxGap pass also counts the tuples, so the four columns are sized
+// once, at their final length, before the fill.
 func appendQuerySnapshot(seq tupleSeq, n int64, qs *core.QuerySnapshot) {
 	qs.Reset()
-	qs.N = n
 	if n == 0 {
 		return
 	}
 	var maxGap int64
+	tuples := 0
 	seq(func(t tuple) bool {
+		tuples++
 		if t.g+t.del > maxGap {
 			maxGap = t.g + t.del
 		}
 		return true
 	})
+	qs.Grow(tuples+1, tuples) // +1: the quantile side's sentinel
+	qs.N = n
 	half := maxGap / 2
 	var (
 		rsum    int64

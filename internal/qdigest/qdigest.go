@@ -434,117 +434,75 @@ func (d *Digest) span(id uint64) (lo, hi uint64) {
 // which use it to detect query-time mutation — force it explicitly.
 func (d *Digest) Flush() { d.drain() }
 
-// levelHead is one level run's cursor in the snapshot's pre-order merge,
-// keyed by the lo of the node it points at.
-type levelHead struct {
-	lo       uint64
-	lv       int
-	pos, end int
-}
-
-// before orders heads by (lo, level): at equal lo the wider node, an
-// ancestor of the other, comes first.
-func (h *levelHead) before(o *levelHead) bool {
-	return h.lo < o.lo || h.lo == o.lo && h.lv < o.lv
-}
-
-// levelHeap is a binary min-heap of level heads, at most one per level.
-type levelHeap struct {
-	h [maxBits + 1]levelHead
-	n int
-}
-
-func (q *levelHeap) siftDown(i int) {
-	for {
-		c := 2*i + 1
-		if c >= q.n {
-			return
-		}
-		if c+1 < q.n && q.h[c+1].before(&q.h[c]) {
-			c++
-		}
-		if !q.h[c].before(&q.h[i]) {
-			return
-		}
-		q.h[i], q.h[c] = q.h[c], q.h[i]
-		i = c
-	}
+// levelRun is one tree level's stretch of the node columns.
+type levelRun struct {
+	lv, s, e int
 }
 
 // snapshot rebuilds the query columns from the level runs without
-// sorting. The nodes are listed in pre-order (lo ascending, wider
-// first) into d.pre: a heap keyed by (lo, level) merges the ≤ bits
-// interior level runs, and the leaf run — the tail of the columns and
-// often most of the nodes — merges against the heap's top instead of
-// entering it. A stack of the open intervals — nested, so at most
-// bits+1 deep — turns that into the post-order (interval hi ascending,
-// narrower first) of d.post, the traversal used for rank accumulation,
-// with the running prefix weight that turns quantile extraction into a
-// single search on a sorted column. A node leaves the stack when the
-// next node in pre-order starts past its hi: by then every node inside
-// it has been listed. All scratch is struct-owned: queries drain the
-// pending buffer (a mutation), so the digest already requires external
-// synchronization between queries.
+// sorting. Within a level, id order is interval order, so each level run
+// is already sorted by lo and by hi, and two stable merges of the level
+// runs (core.MergeSegments) give both traversals:
+//   - d.pre, the pre-order (lo ascending, wider first): the runs listed
+//     root level first, so at equal lo the ancestor comes first;
+//   - d.post, the post-order (hi ascending, narrower first): the runs
+//     listed leaf level first, so at equal hi the descendant comes
+//     first. Its weights become the running prefix weight, which turns
+//     quantile extraction into a single search on a sorted column.
+//
+// All scratch but the merge's pooled ping-pong columns is struct-owned:
+// queries drain the pending buffer (a mutation), so the digest already
+// requires external synchronization between queries.
 func (d *Digest) snapshot() {
 	d.drain()
 	d.settle()
-	ids, ws, b := d.nodes.keys, d.nodes.ws, d.bits
-	var q levelHeap
-	s := 0
-	for lv := 0; lv < b && s < len(ids); lv++ {
-		e, _ := slices.BinarySearch(ids[s:], uint64(2)<<lv)
-		if e > 0 {
-			q.h[q.n] = levelHead{lo: (ids[s] - uint64(1)<<lv) << (b - lv), lv: lv, pos: s, end: s + e}
-			q.n++
+	ids, b := d.nodes.keys, d.bits
+	var runs [maxBits + 1]levelRun
+	var sizes, leafFirst [maxBits + 1]int
+	r, s := 0, 0
+	for lv := 0; lv <= b && s < len(ids); lv++ {
+		e := len(ids)
+		if lv < b {
+			e = s + core.SearchGe(ids[s:], uint64(2)<<lv)
 		}
-		s += e
+		if e > s {
+			runs[r], sizes[r] = levelRun{lv, s, e}, e-s
+			r++
+		}
+		s = e
 	}
-	for i := q.n/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
+	for i := range r {
+		leafFirst[i] = sizes[r-1-i]
 	}
-	n, leaf := len(ids), s
+	n := len(ids)
 	los, lws := slices.Grow(d.pre.keys[:0], n)[:n], slices.Grow(d.pre.ws[:0], n)[:n]
 	his, prefix := slices.Grow(d.post.keys[:0], n)[:n], slices.Grow(d.post.ws[:0], n)[:n]
-	var openHi [maxBits + 1]uint64
-	var openW [maxBits + 1]int64
-	open, k := 0, 0
+	core.MergeSegments(los, lws, sizes[:r], func(i int, v []uint64, w []int64) {
+		d.stageLevel(runs[i], false, v, w)
+	})
+	core.MergeSegments(his, prefix, leafFirst[:r], func(i int, v []uint64, w []int64) {
+		d.stageLevel(runs[r-1-i], true, v, w)
+	})
 	var cum int64
-	for i := range n {
-		var lo, hi uint64
-		var w int64
-		if leaf < n && (q.n == 0 || ids[leaf]-d.u < q.h[0].lo) {
-			lo, w = ids[leaf]-d.u, ws[leaf]
-			hi = lo
-			leaf++
-		} else {
-			t := &q.h[0]
-			lo, w = t.lo, ws[t.pos]
-			hi = lo + (uint64(1)<<(b-t.lv) - 1)
-			if t.pos++; t.pos < t.end {
-				t.lo = (ids[t.pos] - uint64(1)<<t.lv) << (b - t.lv)
-			} else {
-				q.n--
-				q.h[0] = q.h[q.n]
-			}
-			q.siftDown(0)
-		}
-		for open > 0 && openHi[open-1] < lo {
-			open--
-			cum += openW[open]
-			his[k], prefix[k] = openHi[open], cum
-			k++
-		}
-		los[i], lws[i] = lo, w
-		openHi[open], openW[open] = hi, w
-		open++
-	}
-	for open > 0 {
-		open--
-		cum += openW[open]
-		his[k], prefix[k] = openHi[open], cum
-		k++
+	for i, w := range prefix {
+		cum += w
+		prefix[i] = cum
 	}
 	d.pre, d.post = cols{los, lws}, cols{his, prefix}
+}
+
+// stageLevel writes the lo (or, with hi set, the hi) of every node of
+// run into v, and their weights into w.
+func (d *Digest) stageLevel(run levelRun, hi bool, v []uint64, w []int64) {
+	first, shift := uint64(1)<<run.lv, d.bits-run.lv
+	var end uint64
+	if hi {
+		end = uint64(1)<<shift - 1
+	}
+	for k, id := range d.nodes.keys[run.s:run.e] {
+		v[k] = (id-first)<<shift | end
+	}
+	copy(w, d.nodes.ws[run.s:run.e])
 }
 
 // Quantile implements core.Summary: report the right endpoint of the
@@ -615,32 +573,50 @@ func (d *Digest) Rank(x uint64) int64 {
 // weights), both already sorted, and a two-way merge interleaves them.
 // Ties collapse into one threshold, so tie order is immaterial; bits ≤
 // 62 keeps hi+1 from overflowing.
+//
+// The merge loop has no data-dependent branch: the comparison selects
+// the step by conditional moves, and a step at the previous threshold
+// overwrites that entry instead of appending (thresholds are ≥ 1, so
+// the zero start never matches). The pre-order runs out first, since
+// every lo is at most the largest hi, so a plain loop finishes the
+// post-order's tail.
 func (d *Digest) rankSteps() ([]uint64, []int64) {
 	los, lws := d.pre.keys, d.pre.ws
 	his, prefix := d.post.keys, d.post.ws
 	m := len(los) + len(his)
 	vals, ranks := slices.Grow(d.rvals[:0], m)[:m], slices.Grow(d.rranks[:0], m)[:m]
+	lws = lws[:len(los)]
 	k, li, hi := 0, 0, 0
 	var cum, prev int64
-	for li < len(los) || hi < len(his) {
-		var at uint64
-		if hi == len(his) || li < len(los) && los[li] <= his[hi] {
-			at = los[li] + 1
-			cum += lws[li] / 2
-			li++
-		} else {
-			w := prefix[hi] - prev
-			prev = prefix[hi]
-			at = his[hi] + 1
-			cum += w - w/2
-			hi++
+	var last uint64
+	for li < len(los) {
+		l, half, h, p := los[li], lws[li]/2, his[hi], prefix[hi]
+		w := p - prev
+		at, delta, next, fromLo := h+1, w-w/2, p, 0
+		if l <= h {
+			at, delta, next, fromLo = l+1, half, prev, 1
 		}
-		if k > 0 && vals[k-1] == at {
-			ranks[k-1] = cum
-			continue
+		prev = next
+		li += fromLo
+		hi += 1 - fromLo
+		cum += delta
+		if at == last {
+			k--
 		}
 		vals[k], ranks[k] = at, cum
 		k++
+		last = at
+	}
+	for ; hi < len(his); hi++ {
+		at, w := his[hi]+1, prefix[hi]-prev
+		prev = prefix[hi]
+		cum += w - w/2
+		if at == last {
+			k--
+		}
+		vals[k], ranks[k] = at, cum
+		k++
+		last = at
 	}
 	d.rvals, d.rranks = vals[:k], ranks[:k]
 	return d.rvals, d.rranks
@@ -667,14 +643,15 @@ func (d *Digest) RankBatch(xs []uint64) []int64 {
 // rankSteps. Both are byte-identical to the live queries.
 func (d *Digest) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	qs.Reset()
-	qs.N = d.n
 	if d.n == 0 {
 		return
 	}
 	d.snapshot()
+	vals, ranks := d.rankSteps()
+	qs.Grow(len(d.post.keys), len(vals))
+	qs.N = d.n
 	qs.QVals = append(qs.QVals, d.post.keys...)
 	qs.QKeys = append(qs.QKeys, d.post.ws...)
-	vals, ranks := d.rankSteps()
 	qs.RVals = append(qs.RVals, vals...)
 	qs.RRanks = append(qs.RRanks, ranks...)
 }
