@@ -72,10 +72,12 @@ type CashWriter = sharded.CashWriter
 type TurnWriter = sharded.TurnWriter
 
 // DrainObserver brackets each per-shard drain performed by an elastic
-// operation; install one with SetDrainObserver on a sharded container
-// to record ingestion-stall durations (cmd/quantstress does exactly
-// this in its soak report).
-type DrainObserver = sharded.DrainObserver
+// operation: called with the shard's index when the drain starts, its
+// returned func when it completes. Install one with SetDrainObserver on
+// a sharded container to record ingestion-stall durations
+// (cmd/quantstress does exactly this in its soak report). It is the
+// same type as CheckpointObserver.
+type DrainObserver = sharded.ShardObserver
 
 // CheckpointObserver brackets each live shard's marshal during a
 // checkpoint save — the only window a writer routed to that shard can
@@ -84,4 +86,4 @@ type DrainObserver = sharded.DrainObserver
 // sharded container to record those stall durations; cmd/quantstress
 // feeds them into a latency sketch and gates them with
 // -slo-checkpoint-max.
-type CheckpointObserver = sharded.CheckpointObserver
+type CheckpointObserver = sharded.ShardObserver

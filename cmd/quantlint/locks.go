@@ -17,7 +17,10 @@
 // Lock identity is the printed path of the expression the mutex is
 // reached through ("c.mu", "sh.mu"): intra-function alias analysis by
 // spelling, which matches how this codebase takes locks (a shard is
-// always bound to a local `sh` before locking). Events:
+// always bound to a local `sh` before locking). Selectors of embedded
+// fields drop out of the path, so a field promoted through embedding
+// has one identity however it is spelled: `c.core.mu` and `c.mu` are
+// the same lock, `c.core.s` and `c.s` the same guarded access. Events:
 //
 //	x.Lock() / x.RLock()      acquire x (RWMutex read and write locks
 //	                          share one key: either satisfies SQ010)
@@ -341,7 +344,7 @@ func (fa *funcLockAnalysis) scanDefer(d *ast.DeferStmt, st *lockState) {
 	call := d.Call
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) == 0 {
 		if isUnlockName(sel.Sel.Name) && fa.isMutexExpr(sel.X) {
-			st.deferRelease(lockKey(sel.X), d.Pos())
+			st.deferRelease(fa.lockKey(sel.X), d.Pos())
 			return
 		}
 	}
@@ -372,7 +375,7 @@ func (fa *funcLockAnalysis) lockHelperKey(call *ast.CallExpr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return lockKey(sel.X) + "." + guard, true
+	return fa.lockKey(sel.X) + "." + guard, true
 }
 
 func isUnlockName(name string) bool { return name == "Unlock" || name == "RUnlock" }
@@ -389,8 +392,18 @@ func (fa *funcLockAnalysis) isMutexExpr(e ast.Expr) bool {
 	return true
 }
 
-// lockKey renders the expression path a mutex is reached through.
-func lockKey(e ast.Expr) string {
+// lockKey renders the expression path a mutex is reached through,
+// skipping embedded-field selectors (see the package comment).
+func (fa *funcLockAnalysis) lockKey(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if v, ok := fa.ti.info.Uses[e.Sel].(*types.Var); ok && v.Embedded() {
+			return fa.lockKey(e.X)
+		}
+		return fa.lockKey(e.X) + "." + e.Sel.Name
+	case *ast.ParenExpr:
+		return fa.lockKey(e.X)
+	}
 	return types.ExprString(e)
 }
 
@@ -401,12 +414,12 @@ func (fa *funcLockAnalysis) scanExpr(e ast.Expr, st *lockState) {
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok && len(e.Args) == 0 {
 			if isLockName(sel.Sel.Name) && fa.isMutexExpr(sel.X) {
 				fa.scanExpr(sel.X, st)
-				st.acquire(lockKey(sel.X), e.Pos())
+				st.acquire(fa.lockKey(sel.X), e.Pos())
 				return
 			}
 			if isUnlockName(sel.Sel.Name) && fa.isMutexExpr(sel.X) {
 				fa.scanExpr(sel.X, st)
-				st.release(lockKey(sel.X))
+				st.release(fa.lockKey(sel.X))
 				return
 			}
 		}
@@ -428,7 +441,7 @@ func (fa *funcLockAnalysis) scanExpr(e ast.Expr, st *lockState) {
 			// A bound unlock method value (`return c.mu.Unlock`):
 			// release ownership transfers to whoever calls it.
 			fa.scanExpr(e.X, st)
-			st.release(lockKey(e.X))
+			st.release(fa.lockKey(e.X))
 			return
 		}
 		fa.checkAccess(e, st)
@@ -483,7 +496,7 @@ func (fa *funcLockAnalysis) checkAccess(sel *ast.SelectorExpr, st *lockState) {
 	if !ok {
 		return
 	}
-	key := lockKey(sel.X) + "." + guard
+	key := fa.lockKey(sel.X) + "." + guard
 	if st.held(key) {
 		return
 	}

@@ -23,7 +23,7 @@ var sq014Pkgs = []string{"internal/sharded"}
 //     blank fixed-size-array pad field (`_ [N]byte`): without one,
 //     adjacent elements share cache lines and every uncontended
 //     lock/atomic op still ping-pongs the neighbours' lines (see
-//     cashShard and TestShardStructsPadded). Slices of pointers are
+//     sharded.shard and TestShardStructsPadded). Slices of pointers are
 //     exempt — the elements are separate allocations;
 //   - no package-level atomic variables: a file-scope atomic is shared
 //     hot state every writer in the process hits with no way to pad or
@@ -49,7 +49,7 @@ func (l *linter) checkSQ014() {
 				}
 				reported[id.Name] = true
 				l.report(at.Pos(), "SQ014", fmt.Sprintf(
-					"%s holds hot shared mutable fields (mutex/atomic) and is stored by value in a slice without cache-line padding: adjacent elements false-share; add a blank `_ [N]byte` pad rounding the struct to a line multiple (see cashShard)", id.Name))
+					"%s holds hot shared mutable fields (mutex/atomic) and is stored by value in a slice without cache-line padding: adjacent elements false-share; add a blank `_ [N]byte` pad rounding the struct to a line multiple (see sharded.shard)", id.Name))
 				return true
 			})
 		}

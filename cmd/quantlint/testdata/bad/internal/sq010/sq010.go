@@ -1,5 +1,5 @@
 // Package sq010 trips exactly SQ010: Peek reads the guarded field with
-// no lock held.
+// no lock held, and Reset writes it through an embedding wrapper.
 package sq010
 
 import "sync"
@@ -23,4 +23,13 @@ func (b *Box) Bump() {
 // Peek reads the guarded counter without the mutex: the SQ010 finding.
 func (b *Box) Peek() int64 {
 	return b.n
+}
+
+// Tally embeds Box, promoting both the guarded counter and its mutex.
+type Tally struct{ Box }
+
+// Reset writes the promoted counter without the mutex: a second SQ010
+// finding, reached through the embedded field's explicit path.
+func (t *Tally) Reset() {
+	t.Box.n = 0
 }

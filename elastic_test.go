@@ -3,6 +3,7 @@ package streamquantiles
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -460,6 +461,68 @@ func TestShardedTurnstileCodecRoundTrip(t *testing.T) {
 			t.Errorf("Rank(%d) = %d, original %d", probe, a, b)
 		}
 	}
+}
+
+// TestEpsBudgetAfterDecode: a decoded frame keeps the ε its shards were
+// saved with, whatever the restoring container's factory says, so the
+// composed budget must come from the shards, not the factory.
+func TestEpsBudgetAfterDecode(t *testing.T) {
+	s := mustShardedCash(t, 4, func() CashRegister { return NewKLL(0.05, 7) })
+	feedBatches(s.UpdateBatch, batchTestData(20000))
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mustShardedCash(t, 4, func() CashRegister { return NewKLL(0.001, 7) })
+	if got := rec.EpsBudget(); got != 0.001 {
+		t.Fatalf("fresh EpsBudget = %v, want 0.001", got)
+	}
+	if err := rec.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.EpsBudget(); got != 0.05 {
+		t.Fatalf("decoded EpsBudget = %v, want the frame's 0.05", got)
+	}
+}
+
+// TestTurnstileFailedReshardKeepsData: a turnstile whose live shards
+// cannot merge into the factory's configuration (a decoded frame at a
+// different ε) must refuse Reshard and Retarget before touching the
+// topology — no data lost, no shard left behind in a retired
+// generation.
+func TestTurnstileFailedReshardKeepsData(t *testing.T) {
+	data := batchTestData(30000)
+	s := mustShardedTurn(t, 3, func() Turnstile { return NewDCS(0.05, 16, DyadicConfig{Seed: 7}) })
+	feedBatches(s.InsertBatch, data)
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mustShardedTurn(t, 3, func() Turnstile { return NewDCS(0.01, 16, DyadicConfig{Seed: 7}) })
+	if err := rec.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	count, median := rec.Count(), rec.Quantile(0.5)
+	if count != int64(len(data)) {
+		t.Fatalf("decoded count %d, want %d", count, len(data))
+	}
+	check := func(op string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "cannot merge differently configured sketches") {
+			t.Fatalf("%s: err = %v, want the merge refusal", op, err)
+		}
+		if got := rec.Count(); got != count {
+			t.Fatalf("%s: count %d after the failed call, want %d", op, got, count)
+		}
+		if got := rec.Quantile(0.5); got != median {
+			t.Fatalf("%s: Quantile(0.5) = %d after the failed call, want %d", op, got, median)
+		}
+		if rec.Shards() != 3 || rec.Generation() != 0 {
+			t.Fatalf("%s: failed call moved the topology: Shards=%d Generation=%d", op, rec.Shards(), rec.Generation())
+		}
+	}
+	check("Reshard", rec.Reshard(2))
+	check("Retarget", rec.Retarget(func() Turnstile { return NewDCS(0.01, 16, DyadicConfig{Seed: 7}) }))
 }
 
 // TestSafeRetarget covers the wrapper-level re-ε: absorption through

@@ -20,7 +20,8 @@ import (
 //	U64 codec version (1)
 //	U64 generation id
 //	U64 P, then P × Blob (per-shard summary encoding)
-//	U64 component count, then count × Blob (frozen component encodings)
+//	U64 component count, then count × Blob (frozen component encodings;
+//	    always 0 for a turnstile)
 //
 // Both directions fan the per-summary work out to a GOMAXPROCS-bounded
 // worker pool (see fanout): each encode worker holds only its own
@@ -46,14 +47,14 @@ const maxDecodedShards = 1 << 16
 
 // MarshalBinary implements encoding.BinaryMarshaler with a
 // GOMAXPROCS-wide worker pool.
-func (c *CashRegister) MarshalBinary() ([]byte, error) {
+func (c *container) MarshalBinary() ([]byte, error) {
 	return c.MarshalBinaryWorkers(0)
 }
 
 // MarshalBinaryWorkers is MarshalBinary with an explicit worker bound:
 // 0 (or anything ≥ GOMAXPROCS) uses GOMAXPROCS workers, 1 marshals
 // sequentially. The bytes are identical for every worker count.
-func (c *CashRegister) MarshalBinaryWorkers(workers int) ([]byte, error) {
+func (c *container) MarshalBinaryWorkers(workers int) ([]byte, error) {
 	c.topo.RLock()
 	defer c.topo.RUnlock()
 	g := c.gen.Load()
@@ -75,7 +76,7 @@ func (c *CashRegister) MarshalBinaryWorkers(workers int) ([]byte, error) {
 		var err error
 		if i < nShards {
 			sh := &g.shards[i]
-			done := c.ckptStart(i)
+			done := observe(&c.ckptObs, i)
 			sh.mu.Lock()
 			blob, err = marshalSummaryInto(sh.s, (*bufs[i])[:0])
 			sh.mu.Unlock()
@@ -129,13 +130,14 @@ func assembleSharded(genID uint64, nShards int, blobs [][]byte) []byte {
 // the container's entire state (topology generation, shards, frozen
 // components) with the decoded one, keeping the current factory and its
 // probed capabilities.
-func (c *CashRegister) UnmarshalBinary(data []byte) error {
+func (c *container) UnmarshalBinary(data []byte) error {
 	return c.UnmarshalBinaryWorkers(data, 0)
 }
 
 // UnmarshalBinaryWorkers is UnmarshalBinary with an explicit worker
-// bound; see MarshalBinaryWorkers.
-func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
+// bound; see MarshalBinaryWorkers. A turnstile never freezes
+// components, so a frame carrying any is corrupt for it.
+func (c *container) UnmarshalBinaryWorkers(data []byte, workers int) error {
 	c.topo.Lock()
 	defer c.topo.Unlock()
 	cur := c.gen.Load()
@@ -152,6 +154,9 @@ func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
 		}
 	}
 	nComps := d.U64()
+	if nComps != 0 && !c.freezes && d.Err() == nil {
+		return core.Corruptf("sharded: turnstile encoding carries %d components", nComps)
+	}
 	if nComps > maxDecodedShards {
 		return core.Corruptf("sharded: component count %d implausible", nComps)
 	}
@@ -168,7 +173,7 @@ func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
 	if d.Remaining() != 0 {
 		return core.Corruptf("sharded: %d trailing bytes", d.Remaining())
 	}
-	next := &cashGen{id: id, shards: make([]cashShard, p), fresh: cur.fresh, caps: cur.caps, eps: cur.eps}
+	next := &generation{id: id, shards: make([]shard, p), fresh: cur.fresh, caps: cur.caps}
 	comps := make([]*retiredComp, len(compBlobs))
 	err = fanout(p+len(compBlobs), workers, func(i int) error {
 		s := cur.fresh()
@@ -196,106 +201,6 @@ func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
 	c.ret.comps = comps
 	c.ret.ver.Add(1)
 	c.q.invalidate()
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler with a
-// GOMAXPROCS-wide worker pool.
-func (t *Turnstile) MarshalBinary() ([]byte, error) {
-	return t.MarshalBinaryWorkers(0)
-}
-
-// MarshalBinaryWorkers is MarshalBinary with an explicit worker bound;
-// see the CashRegister variant.
-func (t *Turnstile) MarshalBinaryWorkers(workers int) ([]byte, error) {
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	g := t.gen.Load()
-	nShards := len(g.shards)
-	blobs := make([][]byte, nShards)
-	bufs := make([]*[]byte, nShards)
-	for i := range bufs {
-		bufs[i] = core.EncodeBufPool.Get().(*[]byte)
-	}
-	defer func() {
-		for _, b := range bufs {
-			core.EncodeBufPool.Put(b)
-		}
-	}()
-	err := fanout(nShards, workers, func(i int) error {
-		sh := &g.shards[i]
-		done := t.ckptStart(i)
-		sh.mu.Lock()
-		blob, err := marshalSummaryInto(sh.s, (*bufs[i])[:0])
-		sh.mu.Unlock()
-		done()
-		if err != nil {
-			return fmt.Errorf("sharded: marshal shard %d: %w", i, err)
-		}
-		*bufs[i] = blob
-		blobs[i] = blob
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Turnstile containers never freeze components, so the trailing
-	// component count is always zero.
-	return assembleSharded(g.id, nShards, blobs), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (t *Turnstile) UnmarshalBinary(data []byte) error {
-	return t.UnmarshalBinaryWorkers(data, 0)
-}
-
-// UnmarshalBinaryWorkers is UnmarshalBinary with an explicit worker
-// bound; see the CashRegister variant.
-func (t *Turnstile) UnmarshalBinaryWorkers(data []byte, workers int) error {
-	t.topo.Lock()
-	defer t.topo.Unlock()
-	cur := t.gen.Load()
-	d := core.NewDecoder(data)
-	id, p, err := decodeShardedHeader(d)
-	if err != nil {
-		return err
-	}
-	if p > maxDecodedShards {
-		return core.Corruptf("sharded: shard count %d implausible", p)
-	}
-	shardBlobs := make([][]byte, p)
-	for i := range shardBlobs {
-		shardBlobs[i] = d.Blob()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("sharded: decode shard %d: %w", i, err)
-		}
-	}
-	if n := d.U64(); n != 0 && d.Err() == nil {
-		return core.Corruptf("sharded: turnstile encoding carries %d components", n)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return core.Corruptf("sharded: %d trailing bytes", d.Remaining())
-	}
-	next := &turnGen{id: id, shards: make([]turnShard, p), fresh: cur.fresh, caps: cur.caps, eps: cur.eps}
-	err = fanout(p, workers, func(i int) error {
-		s := cur.fresh()
-		if err := unmarshalSummary(s, shardBlobs[i]); err != nil {
-			return fmt.Errorf("sharded: decode shard %d: %w", i, err)
-		}
-		sh := &next.shards[i]
-		sh.mu.Lock()
-		sh.s = s
-		sh.mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	t.gen.Store(next)
-	t.q.invalidate()
 	return nil
 }
 

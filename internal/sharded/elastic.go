@@ -17,7 +17,8 @@ import (
 //     wait, writers do not (they hold no topology lock).
 //  2. Build the successor generation and publish it with one atomic
 //     store. From this instant every new write routes to the new shard
-//     set.
+//     set. A turnstile, which cannot freeze, first runs one trial fold
+//     and refuses before this step when it fails (see drain).
 //  3. Retire each old shard under its own mutex (set the flag, take the
 //     summary). A writer blocked on that mutex wakes, sees the flag,
 //     and re-routes — ingestion is stalled at most for one shard's
@@ -31,7 +32,7 @@ import (
 // summary rule the SQ012 lint polices), RetargetMerge widens the
 // receiver to that same max, and a frozen component keeps its own ε and
 // contributes its own ±εᵢnᵢ to the additive rank combination. EpsBudget
-// reports the max over the live factory and all frozen components, so
+// reports the max over the live shards and all frozen components, so
 // the composed error of any query is ≤ 2·EpsBudget()·n + Components()
 // for rank-combined families and ≤ EpsBudget()·n for merged ones.
 
@@ -141,70 +142,52 @@ func (r *retiredSet) invariants() error {
 	return nil
 }
 
-// A DrainObserver brackets each per-shard drain performed by an elastic
-// operation (Reshard, Retarget): it is called with the retiring shard's
-// index when the drain starts and the returned func when it completes.
-// The containers never time anything themselves — a harness that wants
-// stall telemetry supplies the clock (cmd/quantstress records drain
-// durations this way and asserts a bound in its soak report). The
-// observer runs under the topology write lock, so it must not call back
-// into the container.
-type DrainObserver func(shard int) (done func())
+// A ShardObserver brackets one per-shard stall window: it is called
+// with the shard's index when the window opens and the returned func
+// when it closes. Containers take two — SetDrainObserver for each
+// retired shard's drain during an elastic operation (Reshard,
+// Retarget), SetCheckpointObserver for each live shard's marshal
+// during a checkpoint save (the window a writer routed to that shard
+// can stall for). The containers never read the clock themselves — a
+// harness that wants stall telemetry supplies it by closing over it
+// (cmd/quantstress records both durations this way and asserts bounds
+// in its soak report). A drain observer runs under the topology write
+// lock, so it must not call back into the container.
+type ShardObserver func(shard int) (done func())
 
 // SetDrainObserver installs obs (nil removes it). Safe to call
 // concurrently with elastic operations: the pointer is swapped
 // atomically and each drain loads it once per shard.
-func (c *CashRegister) SetDrainObserver(obs DrainObserver) {
+func (c *container) SetDrainObserver(obs ShardObserver) { setObserver(&c.drainObs, obs) }
+
+// SetCheckpointObserver installs obs (nil removes it). Safe to call
+// concurrently with saves; a save in flight may complete with the
+// previous observer.
+func (c *container) SetCheckpointObserver(obs ShardObserver) { setObserver(&c.ckptObs, obs) }
+
+func setObserver(p *atomic.Pointer[ShardObserver], obs ShardObserver) {
 	if obs == nil {
-		c.drainObs.Store(nil)
+		p.Store(nil)
 		return
 	}
-	c.drainObs.Store(&obs)
+	p.Store(&obs)
 }
 
-// SetDrainObserver installs obs (nil removes it); see the CashRegister
-// counterpart.
-func (t *Turnstile) SetDrainObserver(obs DrainObserver) {
-	if obs == nil {
-		t.drainObs.Store(nil)
-		return
-	}
-	t.drainObs.Store(&obs)
-}
-
-func (c *CashRegister) drainStart(i int) func() {
-	if p := c.drainObs.Load(); p != nil {
-		if done := (*p)(i); done != nil {
+// observe opens shard i's window on the observer in p and returns the
+// func that closes it (a no-op when none is installed).
+func observe(p *atomic.Pointer[ShardObserver], i int) func() {
+	if obs := p.Load(); obs != nil {
+		if done := (*obs)(i); done != nil {
 			return done
 		}
 	}
 	return func() {}
 }
 
-func (t *Turnstile) drainStart(i int) func() {
-	if p := t.drainObs.Load(); p != nil {
-		if done := (*p)(i); done != nil {
-			return done
-		}
-	}
-	return func() {}
-}
-
-// retireCashShard marks the shard retired under its own mutex and takes
-// its summary; a writer blocked on the mutex wakes to the flag and
+// retire marks the shard retired under its own mutex and takes its
+// summary; a writer blocked on the mutex wakes to the flag and
 // re-routes.
-func retireCashShard(sh *cashShard) core.CashRegister {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.s
-	sh.retired = true
-	sh.s = nil
-	sh.epoch.Add(1)
-	return s
-}
-
-// retireTurnShard is the turnstile counterpart of retireCashShard.
-func retireTurnShard(sh *turnShard) core.Turnstile {
+func retire(sh *shard) core.Summary {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s := sh.s
@@ -222,92 +205,135 @@ func finerThan(tgt, old core.Summary) bool {
 	return ok1 && ok2 && te.Eps() < oe.Eps()
 }
 
+// merge folds old into tgt by a plain MERGE — the Reshard drain, where
+// both sides come from one configuration.
+func merge(tgt, old core.Summary) error {
+	m, ok := tgt.(core.Mergeable)
+	if !ok {
+		return fmt.Errorf("sharded: %T has no merge", tgt)
+	}
+	return m.MergeSummary(old)
+}
+
 // absorb folds old into tgt when that preserves both budgets' meaning:
 // a plain MERGE when the configurations match, a RetargetMerge
 // (widening tgt to max(ε_tgt, ε_old)) when tgt's budget is not finer.
-// It reports false when the data must be frozen instead — merging a
-// coarse old summary into a finer target would silently pin the whole
-// sketch at the old ε forever; freezing lets new data earn the finer
-// budget while the old data keeps its own.
-func absorb(tgt, old core.Summary) bool {
-	if m, ok := tgt.(core.Mergeable); ok && m.MergeSummary(old) == nil {
-		return true
+// It errors when the data must be frozen instead — merging a coarse old
+// summary into a finer target would silently pin the whole sketch at
+// the old ε forever; freezing lets new data earn the finer budget while
+// the old data keeps its own.
+func absorb(tgt, old core.Summary) error {
+	err := merge(tgt, old)
+	if err == nil || finerThan(tgt, old) {
+		return err
 	}
-	if finerThan(tgt, old) {
-		return false
+	if r, ok := tgt.(core.Retargetable); ok {
+		return r.RetargetMerge(old)
 	}
-	if r, ok := tgt.(core.Retargetable); ok && r.RetargetMerge(old) == nil {
-		return true
-	}
-	return false
+	return err
 }
-
-// ------------------------------------------------------- cash register
 
 // Reshard grows or shrinks the shard count to p without stopping
 // ingestion. Mergeable families drain every retired shard into the new
-// shard set through MERGE; the GK family adopts the first min(P_old, p)
-// summaries in place (a pointer move — no accuracy cost) and freezes
-// any surplus as rank components, so a shrink adds at most
-// P_old − p components to the additive bound.
-func (c *CashRegister) Reshard(p int) error {
+// shard set through MERGE. For the non-mergeable GK family a cash
+// register adopts the first min(P_old, p) summaries in place (a pointer
+// move — no accuracy cost) and freezes any surplus as rank components,
+// so a shrink adds at most P_old − p components to the additive bound.
+// A turnstile rejects non-mergeable families: the re-routed deletions
+// of an element must cancel against its re-merged insertions, which the
+// linear sketches guarantee exactly, while a frozen component could
+// never be decremented again.
+func (c *container) Reshard(p int) error {
 	if err := checkShards(p); err != nil {
 		return err
 	}
 	c.topo.Lock()
 	defer c.topo.Unlock()
 	old := c.gen.Load()
-	if p == len(old.shards) {
+	switch {
+	case p == len(old.shards):
 		return nil
+	case old.caps.mergeable:
+		return c.drain(old, p, old.fresh, old.caps, merge)
+	case !c.freezes:
+		return fmt.Errorf("sharded: cannot reshard a non-mergeable turnstile family: re-routed deletions must cancel against re-merged insertions")
 	}
-	if old.caps.mergeable {
-		c.reshardByMerge(old, p)
-	} else {
-		c.reshardByAdoption(old, p)
-	}
+	c.adopt(old, p)
 	c.q.invalidate()
 	return nil
 }
 
-// reshardByMerge publishes a fresh successor first (writers re-route
-// immediately), then drains each retired shard into a successor shard.
-func (c *CashRegister) reshardByMerge(old *cashGen, p int) {
-	next := newCashGen(old.id+1, p, old.fresh, old.caps)
+// retarget is the kind-independent body of Retarget: a successor
+// generation of the same shard count built by fresh, drained into by
+// absorb.
+func (c *container) retarget(fresh func() core.Summary) error {
+	c.topo.Lock()
+	defer c.topo.Unlock()
+	old := c.gen.Load()
+	return c.drain(old, len(old.shards), fresh, probeCaps(fresh), absorb)
+}
+
+// drain replaces old by a successor of p shards built by fresh: it
+// publishes the successor first (writers re-route immediately), then
+// folds retired shard i into successor shard i mod p with fold. When a
+// fold fails, a cash register freezes the shard's data as a rank
+// component. A turnstile cannot freeze, so it decides before
+// publishing: a turnstile generation has one configuration (a frame
+// decodes one generation, and Retarget absorbs every shard), so one
+// trial fold of a live shard into a throwaway successor summary speaks
+// for every shard, and a refusal returns without touching the
+// topology. The caller holds the topology write lock.
+func (c *container) drain(old *generation, p int, fresh func() core.Summary, caps foldCaps, fold func(tgt, old core.Summary) error) error {
+	if !c.freezes {
+		trial := fresh()
+		sh := &old.shards[0]
+		sh.mu.Lock()
+		err := fold(trial, sh.s)
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("sharded: the successor configuration cannot absorb the live shards, and deletions rule out freezing: %w", err)
+		}
+	}
+	next := newGeneration(old.id+1, p, fresh, caps)
 	c.gen.Store(next)
+	var err error
 	for i := range old.shards {
-		done := c.drainStart(i)
-		s := retireCashShard(&old.shards[i])
-		if s.Count() > 0 {
+		done := observe(&c.drainObs, i)
+		// An insert-only summary with no elements holds nothing; a
+		// turnstile shard's zero net count may still hold cancelling
+		// structure after a reshard, so it always folds.
+		if s := retire(&old.shards[i]); s.Count() != 0 || !c.freezes {
 			dst := &next.shards[i%p]
 			dst.mu.Lock()
 			dst.epoch.Add(1)
-			err := dst.s.(core.Mergeable).MergeSummary(s)
+			ferr := fold(dst.s, s)
 			dst.mu.Unlock()
-			if err != nil {
-				// The factory probed mergeable, so this cannot happen unless
-				// the factory misbehaves; freeze rather than lose the data.
+			switch {
+			case ferr == nil:
+			case c.freezes:
 				c.ret.add(newRetiredComp(s))
+			case err == nil:
+				err = fmt.Errorf("sharded: drain of shard %d failed after a successful trial: %w", i, ferr)
 			}
 		}
 		done()
 	}
+	c.q.invalidate()
+	return err
 }
 
-// reshardByAdoption moves the first min(P_old, p) summaries into the
-// successor unchanged and freezes the surplus. The successor is built
-// before it is published, so writers spin (seeing retired flags under
-// the old generation) only for the duration of the pointer moves.
-func (c *CashRegister) reshardByAdoption(old *cashGen, p int) {
-	next := &cashGen{id: old.id + 1, shards: make([]cashShard, p), fresh: old.fresh, caps: old.caps, eps: old.eps}
-	keep := len(old.shards)
-	if p < keep {
-		keep = p
-	}
+// adopt moves the first min(P_old, p) summaries into the successor
+// unchanged and freezes the surplus. The successor is built before it
+// is published, so writers spin (seeing retired flags under the old
+// generation) only for the duration of the pointer moves.
+func (c *container) adopt(old *generation, p int) {
+	next := &generation{id: old.id + 1, shards: make([]shard, p), fresh: old.fresh, caps: old.caps}
+	keep := min(len(old.shards), p)
 	for i := 0; i < keep; i++ {
-		done := c.drainStart(i)
+		done := observe(&c.drainObs, i)
 		sh := &next.shards[i]
 		sh.mu.Lock()
-		sh.s = retireCashShard(&old.shards[i])
+		sh.s = retire(&old.shards[i])
 		sh.mu.Unlock()
 		done()
 	}
@@ -318,8 +344,8 @@ func (c *CashRegister) reshardByAdoption(old *cashGen, p int) {
 		sh.mu.Unlock()
 	}
 	for i := keep; i < len(old.shards); i++ {
-		done := c.drainStart(i)
-		if s := retireCashShard(&old.shards[i]); s.Count() > 0 {
+		done := observe(&c.drainObs, i)
+		if s := retire(&old.shards[i]); s.Count() > 0 {
 			c.ret.add(newRetiredComp(s))
 		}
 		done()
@@ -327,139 +353,36 @@ func (c *CashRegister) reshardByAdoption(old *cashGen, p int) {
 	c.gen.Store(next)
 }
 
-// Retarget migrates the container to a new factory — typically the same
-// family at a different ε — without stopping ingestion. New writes land
-// in fresh summaries at the new budget immediately; each retired
-// shard's data is absorbed into its successor when that preserves the
-// budget semantics (see absorb) and frozen as a rank component
-// otherwise. The shard count is preserved.
-func (c *CashRegister) Retarget(fresh func() core.CashRegister) error {
-	c.topo.Lock()
-	defer c.topo.Unlock()
-	old := c.gen.Load()
-	caps := probeCaps(func() core.Summary { return fresh() })
-	next := newCashGen(old.id+1, len(old.shards), fresh, caps)
-	c.gen.Store(next)
-	for i := range old.shards {
-		done := c.drainStart(i)
-		s := retireCashShard(&old.shards[i])
-		if s.Count() > 0 {
-			dst := &next.shards[i]
-			dst.mu.Lock()
-			dst.epoch.Add(1)
-			absorbed := absorb(dst.s, s)
-			dst.mu.Unlock()
-			if !absorbed {
-				c.ret.add(newRetiredComp(s))
-			}
-		}
-		done()
-	}
-	c.q.invalidate()
-	return nil
-}
-
 // Components returns the number of frozen retired components currently
-// contributing to queries by additive rank.
-func (c *CashRegister) Components() int {
+// contributing to queries by additive rank (always 0 for a turnstile).
+func (c *container) Components() int {
 	c.topo.RLock()
 	defer c.topo.RUnlock()
 	return len(c.ret.comps)
 }
 
-// EpsBudget reports the composed error budget: the max over the live
-// factory's ε and every frozen component's ε (0 when the family does
-// not report one). Rank-combined queries err by at most
-// 2·EpsBudget()·n + Shards() + Components(); merged folds by at most
-// EpsBudget()·n.
-func (c *CashRegister) EpsBudget() float64 {
+// EpsBudget reports the composed error budget: the max over every live
+// shard's ε and every frozen component's ε (0 when the family does not
+// report one). The live shards answer for themselves, so a decoded
+// frame or a budget-widening RetargetMerge reports the ε the data
+// actually carries, not the factory's. Rank-combined queries err by at
+// most 2·EpsBudget()·n + Shards() + Components(); merged folds by at
+// most EpsBudget()·n.
+func (c *container) EpsBudget() float64 {
 	c.topo.RLock()
 	defer c.topo.RUnlock()
-	eps := c.gen.Load().eps
+	g := c.gen.Load()
+	var eps float64
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.Lock()
+		if er, ok := sh.s.(epsReporter); ok {
+			eps = math.Max(eps, er.Eps())
+		}
+		sh.mu.Unlock()
+	}
 	for _, comp := range c.ret.comps {
 		eps = math.Max(eps, comp.eps)
 	}
 	return eps
 }
-
-// ------------------------------------------------------------ turnstile
-
-// Reshard grows or shrinks the shard count to p without stopping
-// ingestion. Only mergeable families can reshard under deletions: the
-// re-routed deletions of an element must cancel against its re-merged
-// insertions, which the linear sketches guarantee exactly; a frozen
-// component could never be decremented again, so non-mergeable
-// turnstile families are rejected.
-func (t *Turnstile) Reshard(p int) error {
-	if err := checkShards(p); err != nil {
-		return err
-	}
-	t.topo.Lock()
-	defer t.topo.Unlock()
-	old := t.gen.Load()
-	if p == len(old.shards) {
-		return nil
-	}
-	if !old.caps.mergeable {
-		return fmt.Errorf("sharded: cannot reshard a non-mergeable turnstile family: re-routed deletions must cancel against re-merged insertions")
-	}
-	next := newTurnGen(old.id+1, p, old.fresh, old.caps)
-	t.gen.Store(next)
-	for i := range old.shards {
-		done := t.drainStart(i)
-		s := retireTurnShard(&old.shards[i])
-		dst := &next.shards[i%p]
-		dst.mu.Lock()
-		dst.epoch.Add(1)
-		err := dst.s.(core.Mergeable).MergeSummary(s)
-		dst.mu.Unlock()
-		done()
-		if err != nil {
-			t.q.invalidate()
-			return fmt.Errorf("sharded: reshard drain merge: %w", err)
-		}
-	}
-	t.q.invalidate()
-	return nil
-}
-
-// Retarget migrates the turnstile container to a new factory. Freezing
-// is not an option under deletions, so the operation is gated on a
-// probe: the new configuration must absorb the old one (merge or
-// retarget-merge) on throwaway instances, or the call fails without
-// touching the live topology.
-func (t *Turnstile) Retarget(fresh func() core.Turnstile) error {
-	t.topo.Lock()
-	defer t.topo.Unlock()
-	old := t.gen.Load()
-	if !absorb(fresh(), old.fresh()) {
-		return fmt.Errorf("sharded: turnstile retarget: the new configuration cannot absorb the old (no merge or retarget-merge path), and deletions rule out freezing")
-	}
-	caps := probeCaps(func() core.Summary { return fresh() })
-	next := newTurnGen(old.id+1, len(old.shards), fresh, caps)
-	t.gen.Store(next)
-	for i := range old.shards {
-		done := t.drainStart(i)
-		s := retireTurnShard(&old.shards[i])
-		dst := &next.shards[i]
-		dst.mu.Lock()
-		dst.epoch.Add(1)
-		ok := absorb(dst.s, s)
-		dst.mu.Unlock()
-		done()
-		if !ok {
-			t.q.invalidate()
-			return fmt.Errorf("sharded: turnstile retarget: shard %d absorb failed after a successful probe", i)
-		}
-	}
-	t.q.invalidate()
-	return nil
-}
-
-// Components returns 0: turnstile containers never freeze components.
-func (t *Turnstile) Components() int { return 0 }
-
-// EpsBudget reports the live factory's ε (0 when the family does not
-// report one); turnstile drains are exact merges, so no wider budget
-// ever accumulates.
-func (t *Turnstile) EpsBudget() float64 { return t.gen.Load().eps }

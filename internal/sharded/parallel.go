@@ -1,7 +1,6 @@
 // Parallel fan-out for the sharded codec: the worker pool that lets
 // MarshalBinary and UnmarshalBinary dispatch per-shard work across
-// cores, and the checkpoint observer that makes each shard's marshal
-// stall visible to harnesses. The pool shape matches forShards
+// cores. The pool shape matches forShards
 // (query.go): GOMAXPROCS-bounded, work-stealing over an atomic cursor,
 // calling goroutine participating, every spawned goroutine joined
 // before return.
@@ -67,51 +66,4 @@ func fanout(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// A CheckpointObserver brackets each live shard's marshal during a
-// checkpoint save: obs(shard) is called just before the shard's lock is
-// taken and the returned done just after it is released — the window a
-// writer routed to that shard can stall for. The containers never read
-// the clock themselves; harnesses (cmd/quantstress) supply timing by
-// closing over it, mirroring DrainObserver.
-type CheckpointObserver func(shard int) (done func())
-
-// SetCheckpointObserver installs obs (nil removes it). Safe to call
-// concurrently with saves; a save in flight may complete with the
-// previous observer.
-func (c *CashRegister) SetCheckpointObserver(obs CheckpointObserver) {
-	if obs == nil {
-		c.ckptObs.Store(nil)
-		return
-	}
-	c.ckptObs.Store(&obs)
-}
-
-// SetCheckpointObserver installs obs (nil removes it); see the
-// CashRegister variant.
-func (t *Turnstile) SetCheckpointObserver(obs CheckpointObserver) {
-	if obs == nil {
-		t.ckptObs.Store(nil)
-		return
-	}
-	t.ckptObs.Store(&obs)
-}
-
-func (c *CashRegister) ckptStart(i int) func() {
-	if p := c.ckptObs.Load(); p != nil {
-		if done := (*p)(i); done != nil {
-			return done
-		}
-	}
-	return func() {}
-}
-
-func (t *Turnstile) ckptStart(i int) func() {
-	if p := t.ckptObs.Load(); p != nil {
-		if done := (*p)(i); done != nil {
-			return done
-		}
-	}
-	return func() {}
 }

@@ -81,35 +81,6 @@ type queryCache struct {
 // are still safe because validFor rechecks the generation id.
 func (q *queryCache) invalidate() { q.cur.Store(nil) }
 
-// shardSet abstracts a shard array for the fold machinery.
-type shardSet interface {
-	numShards() int
-	// shardEpoch loads shard i's write epoch without taking its lock.
-	shardEpoch(i int) uint64
-	// withShard runs fn under shard i's lock and returns the epoch
-	// observed while holding it.
-	withShard(i int, fn func(s core.Summary)) uint64
-	freshSummary() core.Summary
-}
-
-// genSet is a shardSet that knows its generation identity and fold
-// capabilities — implemented by cashGen and turnGen.
-type genSet interface {
-	shardSet
-	genID() uint64
-	capabilities() foldCaps
-}
-
-// elasticSet is the container view the query cache folds: the current
-// generation plus the frozen components and the topology lock.
-type elasticSet interface {
-	currentGen() genSet
-	retiredVer() uint64
-	retiredComps() []*retiredComp
-	// topoRLock takes the topology read lock and returns the unlock.
-	topoRLock() func()
-}
-
 // combinedEntry is one cached fold of the whole container. Exactly one
 // of the three live-shard artifact shapes is populated:
 //
@@ -148,37 +119,37 @@ type combinedEntry struct {
 // and epochs, rebuilding at most once per write generation; nil when
 // the family supports neither folding shape (GKBiased) and the caller
 // must fold the live shards itself.
-func (q *queryCache) entry(set elasticSet) *combinedEntry {
-	if e := q.cur.Load(); e != nil && e.validFor(set) {
+func (q *queryCache) entry(c *container) *combinedEntry {
+	if e := q.cur.Load(); e != nil && e.validFor(c) {
 		return e
 	}
-	defer set.topoRLock()()
+	c.topo.RLock()
+	defer c.topo.RUnlock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if e := q.cur.Load(); e != nil && e.validFor(set) {
+	if e := q.cur.Load(); e != nil && e.validFor(c) {
 		return e // another query rebuilt first
 	}
-	g := set.currentGen()
-	caps := g.capabilities()
-	if !caps.mergeable && !caps.snapAll {
+	g := c.gen.Load()
+	if !g.caps.mergeable && !g.caps.snapAll {
 		return nil
 	}
 	var e *combinedEntry
-	if caps.mergeable {
+	if g.caps.mergeable {
 		e = rebuildCombined(g)
 	}
-	if e == nil && caps.snapAll {
+	if e == nil && g.caps.snapAll {
 		e = rebuildSnaps(g)
 	}
 	if e == nil {
 		return nil
 	}
-	e.genID = g.genID()
-	e.retVer = set.retiredVer()
-	if comps := set.retiredComps(); len(comps) > 0 {
+	e.genID = g.id
+	e.retVer = c.ret.ver.Load()
+	if comps := c.ret.comps; len(comps) > 0 {
 		e.comps = comps
-		for _, c := range comps {
-			e.n += c.n
+		for _, comp := range comps {
+			e.n += comp.n
 		}
 	}
 	q.cur.Store(e)
@@ -192,13 +163,13 @@ func (q *queryCache) entry(set elasticSet) *combinedEntry {
 // a full match means the fold equals one performed now. Generations are
 // immutable, so a matching genID guarantees the epoch vector indexes
 // the same shard array it was built from.
-func (e *combinedEntry) validFor(set elasticSet) bool {
-	g := set.currentGen()
-	if g.genID() != e.genID || set.retiredVer() != e.retVer {
+func (e *combinedEntry) validFor(c *container) bool {
+	g := c.gen.Load()
+	if g.id != e.genID || c.ret.ver.Load() != e.retVer {
 		return false
 	}
 	for i, ep := range e.epochs {
-		if g.shardEpoch(i) != ep {
+		if g.shards[i].epoch.Load() != ep {
 			return false
 		}
 	}
@@ -207,13 +178,13 @@ func (e *combinedEntry) validFor(set elasticSet) bool {
 
 // mergedFold folds all shards of g into one fresh summary by parallel
 // tree-merge.
-func mergedFold(g shardSet) (core.Summary, []uint64, error) {
-	p := g.numShards()
+func mergedFold(g *generation) (core.Summary, []uint64, error) {
+	p := len(g.shards)
 	epochs := make([]uint64, p)
 	parts := make([]core.Summary, p)
 	var failed atomic.Bool
 	forShards(p, func(i int) {
-		m := g.freshSummary()
+		m := g.fresh()
 		mg, ok := m.(core.Mergeable)
 		if !ok {
 			failed.Store(true)
@@ -235,7 +206,7 @@ func mergedFold(g shardSet) (core.Summary, []uint64, error) {
 
 // rebuildCombined folds all shards into one merged summary; nil when
 // any merge fails.
-func rebuildCombined(g shardSet) *combinedEntry {
+func rebuildCombined(g *generation) *combinedEntry {
 	sum, epochs, err := mergedFold(g)
 	if err != nil {
 		return nil
@@ -272,8 +243,8 @@ func mergeTree(parts []core.Summary) bool {
 
 // rebuildSnaps flattens every shard into an exact snapshot, in
 // parallel, each under its own shard lock.
-func rebuildSnaps(g shardSet) *combinedEntry {
-	p := g.numShards()
+func rebuildSnaps(g *generation) *combinedEntry {
+	p := len(g.shards)
 	e := &combinedEntry{epochs: make([]uint64, p), snaps: make([]*core.QuerySnapshot, p)}
 	ns := make([]int64, p)
 	var failed atomic.Bool

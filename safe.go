@@ -47,26 +47,52 @@ type Flusher interface {
 	Flush()
 }
 
-// SafeCashRegister is a goroutine-safe wrapper around a CashRegister.
-type SafeCashRegister struct {
+// safeCore is the state and the methods both Safe wrappers share: the
+// lock, the wrapped summary, and every query, codec, checkpoint and
+// retarget path. The wrappers embed it and add only their write
+// methods, which assert the summary to their kind once per call.
+type safeCore struct {
 	mu sync.RWMutex
-	s  CashRegister // guarded by mu
+	s  core.Summary // guarded by mu
 	// exclusiveReads is set when s implements Flusher: its queries
-	// mutate internal state, so they need the write lock.
+	// mutate internal state, so they need the write lock. The dyadic
+	// sketches are pure readers at query time, so in practice turnstile
+	// queries run under the shared lock.
 	exclusiveReads atomic.Bool
 	// snap caches an exact query snapshot between writes; non-nil only
-	// when s implements core.Snapshotter.
+	// when s implements core.Snapshotter (the dyadic sketches do not —
+	// their queries always take the lock).
 	snap atomic.Pointer[snapshot.Cache]
 }
+
+// SafeCashRegister is a goroutine-safe wrapper around a CashRegister.
+type SafeCashRegister struct{ safeCore }
+
+// SafeTurnstile is a goroutine-safe wrapper around a Turnstile summary.
+type SafeTurnstile struct{ safeCore }
 
 // NewSafeCashRegister wraps s. The wrapped summary must not be used
 // directly afterwards.
 func NewSafeCashRegister(s CashRegister) *SafeCashRegister {
-	c := &SafeCashRegister{s: s}
+	c := &SafeCashRegister{safeCore{s: s}}
+	c.detect(s)
+	return c
+}
+
+// NewSafeTurnstile wraps s. The wrapped summary must not be used
+// directly afterwards.
+func NewSafeTurnstile(s Turnstile) *SafeTurnstile {
+	c := &SafeTurnstile{safeCore{s: s}}
+	c.detect(s)
+	return c
+}
+
+// detect sets the capabilities of s, the summary being wrapped:
+// exclusive reads and the snapshot cache.
+func (c *safeCore) detect(s core.Summary) {
 	_, flushes := s.(Flusher)
 	c.exclusiveReads.Store(flushes)
 	c.snap.Store(snapshot.For(s))
-	return c
 }
 
 // rlock takes the strongest lock queries on the wrapped summary need
@@ -76,7 +102,7 @@ func NewSafeCashRegister(s CashRegister) *SafeCashRegister {
 // lock and upgrades.
 //
 // locks mu
-func (c *SafeCashRegister) rlock() func() {
+func (c *safeCore) rlock() func() {
 	if !c.exclusiveReads.Load() {
 		c.mu.RLock()
 		if !c.exclusiveReads.Load() {
@@ -94,7 +120,7 @@ func (c *SafeCashRegister) rlock() func() {
 // AppendQuerySnapshot may flush buffered elements — that runs under the
 // exclusive lock (rlock) and does not change query answers, so the
 // epoch is not bumped.
-func (c *SafeCashRegister) snapshot() *core.QuerySnapshot {
+func (c *safeCore) snapshot() *core.QuerySnapshot {
 	sc := c.snap.Load()
 	if sc == nil {
 		return nil
@@ -119,7 +145,7 @@ func (c *SafeCashRegister) snapshot() *core.QuerySnapshot {
 
 // invalidate retires the cached snapshot; the caller holds the write
 // lock.
-func (c *SafeCashRegister) invalidate() {
+func (c *safeCore) invalidate() {
 	if sc := c.snap.Load(); sc != nil {
 		sc.Invalidate()
 	}
@@ -130,7 +156,7 @@ func (c *SafeCashRegister) Update(x uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.invalidate()
-	c.s.Update(x)
+	c.s.(CashRegister).Update(x)
 }
 
 // UpdateBatch observes a batch of elements under one lock acquisition,
@@ -139,7 +165,41 @@ func (c *SafeCashRegister) UpdateBatch(xs []uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.invalidate()
-	core.UpdateBatch(c.s, xs)
+	core.UpdateBatch(c.s.(CashRegister), xs)
+}
+
+// Insert adds one occurrence of x.
+func (c *SafeTurnstile) Insert(x uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.invalidate()
+	c.s.(Turnstile).Insert(x)
+}
+
+// Delete removes one occurrence of x.
+func (c *SafeTurnstile) Delete(x uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.invalidate()
+	c.s.(Turnstile).Delete(x)
+}
+
+// InsertBatch adds one occurrence of every element of xs under one lock
+// acquisition, through the summary's native batch path when it has one.
+func (c *SafeTurnstile) InsertBatch(xs []uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.invalidate()
+	core.InsertBatch(c.s.(Turnstile), xs)
+}
+
+// DeleteBatch removes one occurrence of every element of xs under one
+// lock acquisition.
+func (c *SafeTurnstile) DeleteBatch(xs []uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.invalidate()
+	core.DeleteBatch(c.s.(Turnstile), xs)
 }
 
 // Retarget migrates the wrapper to a new summary — typically the same
@@ -151,16 +211,26 @@ func (c *SafeCashRegister) UpdateBatch(xs []uint64) {
 // max(ε_old, ε_new): retargeting a lone summary to a finer ε cannot
 // erase the error already committed — use a sharded container when old
 // data must keep its own budget separately.
-func (c *SafeCashRegister) Retarget(fresh CashRegister) error {
+func (c *SafeCashRegister) Retarget(fresh CashRegister) error { return c.retarget(fresh) }
+
+// Retarget migrates the wrapper to a new summary; see
+// SafeCashRegister.Retarget.
+func (c *SafeTurnstile) Retarget(fresh Turnstile) error { return c.retarget(fresh) }
+
+// retarget is the body of both typed Retargets. An old summary with a
+// zero count needs no absorb path (see absorbSummary). For a cash
+// register that is plain emptiness. For a turnstile it is sound too:
+// under the strict turnstile model no element's net frequency may go
+// negative, so a zero net count means every element's net frequency is
+// zero, and a linear sketch of that frequency vector is exactly empty.
+func (c *safeCore) retarget(fresh core.Summary) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := absorbSummary(fresh, c.s); err != nil {
 		return err
 	}
 	c.s = fresh
-	_, flushes := fresh.(Flusher)
-	c.exclusiveReads.Store(flushes)
-	c.snap.Store(snapshot.For(fresh))
+	c.detect(fresh)
 	return nil
 }
 
@@ -181,8 +251,9 @@ func absorbSummary(tgt, old core.Summary) error {
 }
 
 // Quantile returns an estimated φ-quantile — lock-free from the cached
-// snapshot when the summary has been quiet since the last query.
-func (c *SafeCashRegister) Quantile(phi float64) uint64 {
+// snapshot when the summary supports one and has been quiet since the
+// last query.
+func (c *safeCore) Quantile(phi float64) uint64 {
 	if qs := c.snapshot(); qs != nil {
 		return qs.Quantile(phi)
 	}
@@ -192,7 +263,7 @@ func (c *SafeCashRegister) Quantile(phi float64) uint64 {
 
 // Quantiles extracts one quantile per fraction under at most a single
 // lock acquisition.
-func (c *SafeCashRegister) Quantiles(phis []float64) []uint64 {
+func (c *safeCore) Quantiles(phis []float64) []uint64 {
 	if qs := c.snapshot(); qs != nil {
 		return qs.QuantileBatch(phis)
 	}
@@ -201,10 +272,10 @@ func (c *SafeCashRegister) Quantiles(phis []float64) []uint64 {
 }
 
 // QuantileBatch implements core.QuantileBatcher (as Quantiles).
-func (c *SafeCashRegister) QuantileBatch(phis []float64) []uint64 { return c.Quantiles(phis) }
+func (c *safeCore) QuantileBatch(phis []float64) []uint64 { return c.Quantiles(phis) }
 
 // Rank returns the estimated rank of x.
-func (c *SafeCashRegister) Rank(x uint64) int64 {
+func (c *safeCore) Rank(x uint64) int64 {
 	if qs := c.snapshot(); qs != nil {
 		return qs.Rank(x)
 	}
@@ -213,7 +284,7 @@ func (c *SafeCashRegister) Rank(x uint64) int64 {
 }
 
 // RankBatch implements core.QuantileBatcher.
-func (c *SafeCashRegister) RankBatch(xs []uint64) []int64 {
+func (c *safeCore) RankBatch(xs []uint64) []int64 {
 	if qs := c.snapshot(); qs != nil {
 		return qs.RankBatch(xs)
 	}
@@ -221,14 +292,14 @@ func (c *SafeCashRegister) RankBatch(xs []uint64) []int64 {
 	return core.RankBatch(c.s, xs)
 }
 
-// Count reports n.
-func (c *SafeCashRegister) Count() int64 {
+// Count reports the current number of elements.
+func (c *safeCore) Count() int64 {
 	defer c.rlock()()
 	return c.s.Count()
 }
 
 // SpaceBytes reports the summary size (wrapper overhead excluded).
-func (c *SafeCashRegister) SpaceBytes() int64 {
+func (c *safeCore) SpaceBytes() int64 {
 	defer c.rlock()()
 	return c.s.SpaceBytes()
 }
@@ -238,7 +309,7 @@ func (c *SafeCashRegister) SpaceBytes() int64 {
 // encoded, not flushed), so the snapshot runs under the shared lock:
 // writers are excluded only for the duration of the encode, never for
 // disk I/O.
-func (c *SafeCashRegister) Snapshot() ([]byte, error) {
+func (c *safeCore) Snapshot() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	m, ok := c.s.(encoding.BinaryMarshaler)
@@ -258,7 +329,7 @@ func (c *SafeCashRegister) Snapshot() ([]byte, error) {
 // marshal, never the whole container (see ShardedCashRegister's
 // MarshalBinary). Concurrent Checkpoint calls on one Checkpointer are
 // not allowed — run one checkpointing goroutine per directory.
-func (c *SafeCashRegister) Checkpoint(ck *Checkpointer, label string) (uint64, error) {
+func (c *safeCore) Checkpoint(ck *Checkpointer, label string) (uint64, error) {
 	blob, err := c.Snapshot()
 	if err != nil {
 		return 0, err
@@ -268,7 +339,7 @@ func (c *SafeCashRegister) Checkpoint(ck *Checkpointer, label string) (uint64, e
 
 // Restore replaces the wrapped summary's state from a snapshot or
 // recovered checkpoint payload, under the exclusive lock.
-func (c *SafeCashRegister) Restore(blob []byte) error {
+func (c *safeCore) Restore(blob []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	u, ok := c.s.(encoding.BinaryUnmarshaler)
@@ -281,228 +352,11 @@ func (c *SafeCashRegister) Restore(blob []byte) error {
 
 // MarshalBinary implements encoding.BinaryMarshaler (as Snapshot), so
 // the wrapper slots directly into SaveCheckpoint.
-func (c *SafeCashRegister) MarshalBinary() ([]byte, error) { return c.Snapshot() }
+func (c *safeCore) MarshalBinary() ([]byte, error) { return c.Snapshot() }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler (as Restore), so
 // the wrapper slots directly into RecoverCheckpoint.
-func (c *SafeCashRegister) UnmarshalBinary(data []byte) error { return c.Restore(data) }
-
-// SafeTurnstile is a goroutine-safe wrapper around a Turnstile summary.
-type SafeTurnstile struct {
-	mu sync.RWMutex
-	s  Turnstile // guarded by mu
-	// exclusiveReads is set when s implements Flusher; see
-	// SafeCashRegister. The dyadic sketches are pure readers at query
-	// time, so in practice turnstile queries run under the shared lock.
-	exclusiveReads atomic.Bool
-	// snap caches an exact query snapshot between writes; non-nil only
-	// when s implements core.Snapshotter (the dyadic sketches do not —
-	// their queries always take the lock).
-	snap atomic.Pointer[snapshot.Cache]
-}
-
-// NewSafeTurnstile wraps s. The wrapped summary must not be used
-// directly afterwards.
-func NewSafeTurnstile(s Turnstile) *SafeTurnstile {
-	c := &SafeTurnstile{s: s}
-	_, flushes := s.(Flusher)
-	c.exclusiveReads.Store(flushes)
-	c.snap.Store(snapshot.For(s))
-	return c
-}
-
-// rlock mirrors SafeCashRegister.rlock.
-//
-// locks mu
-func (c *SafeTurnstile) rlock() func() {
-	if !c.exclusiveReads.Load() {
-		c.mu.RLock()
-		if !c.exclusiveReads.Load() {
-			return c.mu.RUnlock
-		}
-		c.mu.RUnlock()
-	}
-	c.mu.Lock()
-	return c.mu.Unlock
-}
-
-// snapshot mirrors SafeCashRegister.snapshot.
-func (c *SafeTurnstile) snapshot() *core.QuerySnapshot {
-	sc := c.snap.Load()
-	if sc == nil {
-		return nil
-	}
-	if qs := sc.Current(); qs != nil {
-		return qs
-	}
-	defer c.rlock()()
-	sc = c.snap.Load() // Retarget may have swapped the cache meanwhile
-	if sc == nil {
-		return nil
-	}
-	if qs := sc.Current(); qs != nil {
-		return qs // another reader rebuilt first
-	}
-	ss, ok := c.s.(core.Snapshotter)
-	if !ok {
-		return nil
-	}
-	return sc.Rebuild(ss)
-}
-
-// invalidate retires the cached snapshot; the caller holds the write
-// lock.
-func (c *SafeTurnstile) invalidate() {
-	if sc := c.snap.Load(); sc != nil {
-		sc.Invalidate()
-	}
-}
-
-// Insert adds one occurrence of x.
-func (c *SafeTurnstile) Insert(x uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidate()
-	c.s.Insert(x)
-}
-
-// Delete removes one occurrence of x.
-func (c *SafeTurnstile) Delete(x uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidate()
-	c.s.Delete(x)
-}
-
-// InsertBatch adds one occurrence of every element of xs under one lock
-// acquisition, through the summary's native batch path when it has one.
-func (c *SafeTurnstile) InsertBatch(xs []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidate()
-	core.InsertBatch(c.s, xs)
-}
-
-// DeleteBatch removes one occurrence of every element of xs under one
-// lock acquisition.
-func (c *SafeTurnstile) DeleteBatch(xs []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidate()
-	core.DeleteBatch(c.s, xs)
-}
-
-// Retarget migrates the wrapper to a new summary; see
-// SafeCashRegister.Retarget. Turnstile retargeting additionally
-// requires an absorb path (merge or retarget-merge) even when the old
-// summary is momentarily empty of net counts, because a count-zero
-// sketch can still hold uncancelled structure.
-func (c *SafeTurnstile) Retarget(fresh Turnstile) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := absorbSummary(fresh, c.s); err != nil {
-		return err
-	}
-	c.s = fresh
-	_, flushes := fresh.(Flusher)
-	c.exclusiveReads.Store(flushes)
-	c.snap.Store(snapshot.For(fresh))
-	return nil
-}
-
-// Quantile returns an estimated φ-quantile — lock-free from the cached
-// snapshot when the summary supports one and has been quiet.
-func (c *SafeTurnstile) Quantile(phi float64) uint64 {
-	if qs := c.snapshot(); qs != nil {
-		return qs.Quantile(phi)
-	}
-	defer c.rlock()()
-	return c.s.Quantile(phi)
-}
-
-// Quantiles extracts one quantile per fraction under at most a single
-// lock acquisition.
-func (c *SafeTurnstile) Quantiles(phis []float64) []uint64 {
-	if qs := c.snapshot(); qs != nil {
-		return qs.QuantileBatch(phis)
-	}
-	defer c.rlock()()
-	return Quantiles(c.s, phis)
-}
-
-// QuantileBatch implements core.QuantileBatcher (as Quantiles).
-func (c *SafeTurnstile) QuantileBatch(phis []float64) []uint64 { return c.Quantiles(phis) }
-
-// Rank returns the estimated rank of x.
-func (c *SafeTurnstile) Rank(x uint64) int64 {
-	if qs := c.snapshot(); qs != nil {
-		return qs.Rank(x)
-	}
-	defer c.rlock()()
-	return c.s.Rank(x)
-}
-
-// RankBatch implements core.QuantileBatcher.
-func (c *SafeTurnstile) RankBatch(xs []uint64) []int64 {
-	if qs := c.snapshot(); qs != nil {
-		return qs.RankBatch(xs)
-	}
-	defer c.rlock()()
-	return core.RankBatch(c.s, xs)
-}
-
-// Count reports the current number of elements.
-func (c *SafeTurnstile) Count() int64 {
-	defer c.rlock()()
-	return c.s.Count()
-}
-
-// SpaceBytes reports the summary size.
-func (c *SafeTurnstile) SpaceBytes() int64 {
-	defer c.rlock()()
-	return c.s.SpaceBytes()
-}
-
-// Snapshot returns the wrapped summary's binary encoding under the
-// shared lock; see SafeCashRegister.Snapshot.
-func (c *SafeTurnstile) Snapshot() ([]byte, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m, ok := c.s.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("streamquantiles: %T does not implement encoding.BinaryMarshaler", c.s)
-	}
-	return m.MarshalBinary()
-}
-
-// Checkpoint snapshots the summary and durably publishes the snapshot;
-// see SafeCashRegister.Checkpoint for the locking contract.
-func (c *SafeTurnstile) Checkpoint(ck *Checkpointer, label string) (uint64, error) {
-	blob, err := c.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	return ck.Save(label, blob)
-}
-
-// Restore replaces the wrapped summary's state from a snapshot or
-// recovered checkpoint payload, under the exclusive lock.
-func (c *SafeTurnstile) Restore(blob []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	u, ok := c.s.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("streamquantiles: %T does not implement encoding.BinaryUnmarshaler", c.s)
-	}
-	c.invalidate()
-	return u.UnmarshalBinary(blob)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (as Snapshot).
-func (c *SafeTurnstile) MarshalBinary() ([]byte, error) { return c.Snapshot() }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (as Restore).
-func (c *SafeTurnstile) UnmarshalBinary(data []byte) error { return c.Restore(data) }
+func (c *safeCore) UnmarshalBinary(data []byte) error { return c.Restore(data) }
 
 // NewSafeShardedCashRegister is the concurrent-ingestion construction
 // for write-heavy workloads: where the Safe wrappers serialize all
