@@ -237,8 +237,10 @@ func measureQuery(n, k int) queryReport {
 	}
 
 	// Sharded fold cache: cold = a one-element write before every query
-	// retires the epoch cache, so each query re-folds all P shards (in
-	// parallel); hot = quiet summary, every query reuses the fold.
+	// retires the epoch cache, so each query re-folds all P shards (a
+	// run merge for KLL, per-shard snapshots for GKArray, a parallel
+	// merge tree for DCS); hot = quiet summary, every query reuses the
+	// fold.
 	const p = 4
 	for _, tc := range []struct {
 		name  string
@@ -246,6 +248,14 @@ func measureQuery(n, k int) queryReport {
 	}{
 		{"sharded/gkarray", func() (func(), func()) {
 			s, err := sharded.NewCashRegister(p, func() core.CashRegister { return gk.NewArray(0.001) })
+			if err != nil {
+				panic(err)
+			}
+			forBatches(data, 4096, s.UpdateBatch)
+			return func() { s.Quantile(0.5) }, func() { s.Update(data[0]) }
+		}},
+		{"sharded/kll", func() (func(), func()) {
+			s, err := sharded.NewCashRegister(p, func() core.CashRegister { return kll.New(0.001, 7) })
 			if err != nil {
 				panic(err)
 			}

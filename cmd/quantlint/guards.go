@@ -11,12 +11,12 @@
 // write of the field must then hold that mutex. And a helper whose doc
 // comment contains a line that is exactly `locks <name>`:
 //
-//	// rlock takes the strongest lock queries need ...
+//	// lockReads takes the lock queries need ...
 //	// locks mu
-//	func (c *wrapper) rlock() func() { ... }
+//	func (c *wrapper) lockReads() func() { ... }
 //
 // declares that calling it acquires the receiver's <name> mutex and
-// returns the matching unlock — `defer c.rlock()()` therefore acquires
+// returns the matching unlock — `defer c.lockReads()()` therefore acquires
 // at the defer statement and releases at function exit.
 //
 // The grammar is deliberately exact-match (a comment line must start

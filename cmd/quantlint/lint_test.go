@@ -251,11 +251,12 @@ func TestNewRulesCleanOnRepo(t *testing.T) {
 }
 
 // TestStrippedDeferIsCaught is the negative control for the lock
-// analysis: copy the repository, delete one `defer c.mu.Unlock()` from
-// safe.go, and SQ011 must report the leaked lock. If this test fails,
-// the dataflow has gone blind — a green SQ011 over the real tree would
-// mean nothing.
+// analysis: copy the repository, delete the `defer sh.mu.Unlock()` of
+// generation.withShard from internal/sharded/sharded.go, and SQ011 must
+// report the leaked lock. If this test fails, the dataflow has gone
+// blind — a green SQ011 over the real tree would mean nothing.
 func TestStrippedDeferIsCaught(t *testing.T) {
+	victim := filepath.Join("internal", "sharded", "sharded.go")
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -289,12 +290,14 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if rel == "safe.go" {
-			const target = "defer c.mu.Unlock()"
-			idx := strings.Index(string(data), target)
+		if rel == victim {
+			const withShard = "sh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\tfn(sh.s)"
+			const target = "defer sh.mu.Unlock()"
+			idx := strings.Index(string(data), withShard)
 			if idx < 0 {
-				t.Fatalf("safe.go no longer contains %q; update this test's mutation", target)
+				t.Fatalf("%s no longer contains withShard's %q; update this test's mutation", victim, target)
 			}
+			idx += strings.Index(withShard, target)
 			data = append(data[:idx], data[idx+len(target):]...)
 			stripped = true
 		}
@@ -304,7 +307,7 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !stripped {
-		t.Fatal("copy finished without mutating safe.go")
+		t.Fatalf("copy finished without mutating %s", victim)
 	}
 	fs, err := lintOnly(tmp, []string{"./..."}, map[string]bool{"SQ011": true})
 	if err != nil {
@@ -312,11 +315,11 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 	}
 	found := false
 	for _, f := range fs {
-		if f.Rule == "SQ011" && f.File == "safe.go" {
+		if f.Rule == "SQ011" && f.File == victim {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("stripping a defer unlock from safe.go produced no SQ011 finding; got: %s", render(fs, true))
+		t.Errorf("stripping a defer unlock from %s produced no SQ011 finding; got: %s", victim, render(fs, true))
 	}
 }

@@ -26,11 +26,12 @@
 //	                          share one key: either satisfies SQ010)
 //	x.Unlock() / x.RUnlock()  release x
 //	defer x.Unlock()          deferred release of x
-//	defer c.rlock()()         `locks mu` helper: acquire c.mu now,
+//	defer c.lockReads()()     `locks mu` helper: acquire c.mu now,
 //	                          deferred release at exit
 //	return c.mu.Unlock        the bound unlock method value transfers
 //	                          release ownership to the caller: counts
-//	                          as a release (safe.go's rlock pattern)
+//	                          as a release (how a `locks mu`
+//	                          helper hands back its unlock)
 //
 // Constructors (New*/new*) are exempt from SQ010: they build the
 // struct before it escapes, so no lock can or need be held. Explicit
@@ -338,7 +339,7 @@ func (fa *funcLockAnalysis) scanNode(n ast.Node, st *lockState) {
 }
 
 // scanDefer interprets `defer` statements: deferred unlocks, the
-// `defer c.rlock()()` acquire-and-release-at-exit idiom, and opaque
+// `defer c.lockReads()()` acquire-and-release-at-exit idiom, and opaque
 // deferred calls (arguments still evaluate now).
 func (fa *funcLockAnalysis) scanDefer(d *ast.DeferStmt, st *lockState) {
 	call := d.Call
@@ -361,7 +362,7 @@ func (fa *funcLockAnalysis) scanDefer(d *ast.DeferStmt, st *lockState) {
 }
 
 // lockHelperKey recognizes a call to a `locks <mu>` annotated method
-// and returns the mutex key it acquires ("c.mu" for c.rlock()).
+// and returns the mutex key it acquires ("c.mu" for c.lockReads()).
 func (fa *funcLockAnalysis) lockHelperKey(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

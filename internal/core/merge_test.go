@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,7 +11,8 @@ import (
 // merge lists l's runs and merges them into a fresh value-sorted sample
 // set: the run merge, read back as weights.
 func (rs *Runs) merge(l RunLister) []WeightedValue {
-	n := rs.list(l)
+	l.ListRuns(rs)
+	n := rs.size()
 	vals, cum := make([]uint64, n), make([]int64, n)
 	rs.mergeInto(vals, cum)
 	out := make([]WeightedValue, n)
@@ -193,5 +195,60 @@ func TestSharedColumnsReset(t *testing.T) {
 	qs.RVals = append(qs.RVals, 30)
 	if qs.QVals[0] != 10 || qs.RVals[0] != 30 {
 		t.Fatalf("columns written through each other: QVals %v, RVals %v", qs.QVals, qs.RVals)
+	}
+}
+
+// TestFoldRunsCopiesSeveralListers folds the runs of several listers
+// into one snapshot and checks it against a re-sort of the union of
+// their samples. Every lister is overwritten as soon as it has been
+// listed, as a shard written after its lock is released would be: the
+// fold must merge the copies CopyRuns took, not the live runs.
+func TestFoldRunsCopiesSeveralListers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		parts := make([]testRuns, 1+rng.Intn(6))
+		var union []WeightedValue
+		for p := range parts {
+			parts[p] = make(testRuns, rng.Intn(5))
+			for i := range parts[p] {
+				parts[p][i] = sortedRun(rng, rng.Intn(40), 1+uint64(rng.Intn(300)))
+				if rng.Intn(3) == 0 {
+					rng.Shuffle(len(parts[p][i]), func(a, b int) {
+						parts[p][i][a], parts[p][i][b] = parts[p][i][b], parts[p][i][a]
+					})
+				}
+			}
+			union = append(union, sortedReference(parts[p])...)
+		}
+		slices.SortStableFunc(union, func(a, b WeightedValue) int { return cmp.Compare(a.V, b.V) })
+		var ref QuerySnapshot
+		AppendWeightedSnapshot(&ref, union)
+
+		qs := FoldRuns(func(rs *Runs) {
+			for _, part := range parts {
+				rs.CopyRuns(part)
+				for _, run := range part {
+					for i := range run {
+						run[i] = math.MaxUint64
+					}
+				}
+			}
+		})
+		if qs.N != ref.N || len(qs.QVals) != len(union) || !slices.Equal(qs.QVals, ref.QVals) {
+			t.Fatalf("trial %d: fold N=%d vals %v, reference N=%d vals %v", trial, qs.N, qs.QVals, ref.N, ref.QVals)
+		}
+		xs := []uint64{0, 1, 150, 299, 300, math.MaxUint64}
+		for _, v := range union {
+			xs = append(xs, v.V, v.V+1)
+		}
+		if got, want := qs.RankBatch(xs), ref.RankBatch(xs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: fold ranks %v, reference %v", trial, got, want)
+		}
+		if len(union) > 0 {
+			phis := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
+			if got, want := qs.QuantileBatch(phis), ref.QuantileBatch(phis); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: fold quantiles %v, reference %v", trial, got, want)
+			}
+		}
 	}
 }

@@ -17,10 +17,13 @@ import (
 // so random interleavings cost no mispredicted branches, and the last
 // pass writes straight into the caller's output columns.
 //
-// A query never reorders summary state: queries run concurrently under
-// read locks, and KLL's level order is part of its encoding. A run that
-// is not sorted (a partially filled buffer, a level holding two
-// concatenated halves) is sorted as a copy in the merge scratch.
+// A query never reorders summary state: queries are pure reads, which
+// callers sharing a summary between readers rely on, and KLL's level
+// order is part of its encoding. A run that is not sorted (a partially
+// filled buffer, a level holding two concatenated halves) is sorted as
+// a copy in the merge scratch. The same merge folds the runs of several
+// summaries (FoldRuns): the sharded containers combine their shards
+// with it.
 
 // RunLister is implemented by summaries whose retained samples form
 // value-sorted runs of equal weight.
@@ -37,15 +40,17 @@ type run struct {
 }
 
 // Runs is the per-call scratch of a run merge: the listed runs, the
-// merge's ping-pong columns (one sample set), and the columns the live
-// query paths answer from. Values are recycled through a pool, so
-// steady-state queries allocate nothing for the merge.
+// copies CopyRuns took of them, the merge's ping-pong columns (one
+// sample set), and the columns the live query paths answer from. Values
+// are recycled through a pool, so steady-state queries allocate nothing
+// for the merge.
 type Runs struct {
-	runs  []run
-	sizes []int
-	vals  []uint64
-	ws    []int64
-	qs    QuerySnapshot
+	runs   []run
+	copies []uint64
+	sizes  []int
+	vals   []uint64
+	ws     []int64
+	qs     QuerySnapshot
 }
 
 var runsPool = sync.Pool{New: func() any { return new(Runs) }}
@@ -58,9 +63,22 @@ func (rs *Runs) AddRun(vals []uint64, w int64) {
 	}
 }
 
-// list lists l's runs and returns their total sample count.
-func (rs *Runs) list(l RunLister) int {
+// CopyRuns lists l's runs into rs as copies, so l may change as soon
+// as it returns. A run copied before the copy column grows keeps
+// pointing at the old array, which still holds its values.
+func (rs *Runs) CopyRuns(l RunLister) {
+	first := len(rs.runs)
 	l.ListRuns(rs)
+	for i := first; i < len(rs.runs); i++ {
+		r := &rs.runs[i]
+		at := len(rs.copies)
+		rs.copies = append(rs.copies, r.vals...)
+		r.vals = rs.copies[at:]
+	}
+}
+
+// size returns the total sample count of the listed runs.
+func (rs *Runs) size() int {
 	n := 0
 	for _, r := range rs.runs {
 		n += len(r.vals)
@@ -99,14 +117,21 @@ func (rs *Runs) mergeInto(vals []uint64, cum []int64) {
 	}
 }
 
-// snapshot overwrites qs with l's merged runs: one exact-size value
-// column and one cumulative-weight column, shared by the quantile and
-// the rank side. rank(x) is the total weight of samples < x, which is
-// the same pairs under the strict comparison, and N is the total sample
-// weight (the quantile target base the sampling families use). Answers
-// are byte-identical to AppendWeightedSnapshot over the same samples.
+// snapshot overwrites qs with l's merged runs.
 func (rs *Runs) snapshot(qs *QuerySnapshot, l RunLister) {
-	n := rs.list(l)
+	l.ListRuns(rs)
+	rs.build(qs)
+}
+
+// build overwrites qs with the merge of the listed runs: one exact-size
+// value column and one cumulative-weight column, shared by the quantile
+// and the rank side. rank(x) is the total weight of samples < x, which
+// is the same pairs under the strict comparison, and N is the total
+// sample weight (the quantile target base the sampling families use).
+// Answers are byte-identical to AppendWeightedSnapshot over the same
+// samples.
+func (rs *Runs) build(qs *QuerySnapshot) {
+	n := rs.size()
 	qs.Grow(n, 0)
 	qs.QVals, qs.QKeys = qs.QVals[:n], qs.QKeys[:n]
 	rs.mergeInto(qs.QVals, qs.QKeys)
@@ -122,6 +147,7 @@ func (rs *Runs) snapshot(qs *QuerySnapshot, l RunLister) {
 func (rs *Runs) reset() {
 	clear(rs.runs)
 	rs.runs = rs.runs[:0]
+	rs.copies = rs.copies[:0]
 }
 
 // RunsRank is WeightedRank over l's merged runs, computed without
@@ -185,6 +211,21 @@ func AppendRunsSnapshot(qs *QuerySnapshot, l RunLister) {
 	rs.snapshot(qs, l)
 	rs.reset()
 	runsPool.Put(rs)
+}
+
+// FoldRuns merges runs listed from any number of summaries into one new
+// snapshot, whose columns are allocated once, at their final size. list
+// lists every summary into the scratch it is handed, through CopyRuns,
+// so each summary need only be held still while its own runs are
+// copied; the merge itself reads only the copies.
+func FoldRuns(list func(rs *Runs)) *QuerySnapshot {
+	rs := runsPool.Get().(*Runs)
+	list(rs)
+	qs := new(QuerySnapshot)
+	rs.build(qs)
+	rs.reset()
+	runsPool.Put(rs)
+	return qs
 }
 
 // MergeSegments merges sorted segments into v and w, which must be

@@ -188,7 +188,8 @@ func (cs *CountSketch) Add(x uint64, delta int64) {
 // Estimate implements Sketch: the median over rows of the signed counter.
 // The median buffer lives on the stack (d never exceeds a few dozen in
 // any configuration), so concurrent readers never share mutable state —
-// the Safe wrappers issue queries under a shared lock.
+// a sharded container's merged dyadic fold is queried lock-free by every
+// reader.
 func (cs *CountSketch) Estimate(x uint64) int64 {
 	var buf [maxStackDepth]int64
 	scratch := scratchFor(buf[:], cs.d)

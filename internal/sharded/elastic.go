@@ -34,10 +34,12 @@ import (
 // contributes its own ±εᵢnᵢ to the additive rank combination. EpsBudget
 // reports the max over the live shards and all frozen components, so
 // the composed error of any query is ≤ 2·EpsBudget()·n + Components()
-// for rank-combined families and ≤ EpsBudget()·n for merged ones.
+// for rank-combined families and ≤ EpsBudget()·n for merged and
+// run-folded ones.
 
 // retiredComp is a summary frozen by an elastic operation: it no longer
-// receives writes and participates in queries by additive rank. The
+// receives writes and participates in queries by additive rank, or
+// through the run fold when it lists runs. The
 // snapshot is built eagerly at freeze time when the family supports it,
 // making later queries lock-free; otherwise queries lock the component
 // (GKBiased's reads flush internally, so they mutate).
@@ -69,6 +71,18 @@ func (c *retiredComp) rank(x uint64) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.s.Rank(x)
+}
+
+// copyRuns lists the component's runs into rs when its summary lists
+// runs (core.RunLister), and reports whether it does.
+func (c *retiredComp) copyRuns(rs *core.Runs) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l, ok := c.s.(core.RunLister)
+	if ok {
+		rs.CopyRuns(l)
+	}
+	return ok
 }
 
 func (c *retiredComp) spaceBytes() int64 {
@@ -366,8 +380,8 @@ func (c *container) Components() int {
 // report one). The live shards answer for themselves, so a decoded
 // frame or a budget-widening RetargetMerge reports the ε the data
 // actually carries, not the factory's. Rank-combined queries err by at
-// most 2·EpsBudget()·n + Shards() + Components(); merged folds by at
-// most EpsBudget()·n.
+// most 2·EpsBudget()·n + Shards() + Components(); merged and run folds
+// by at most EpsBudget()·n.
 func (c *container) EpsBudget() float64 {
 	c.topo.RLock()
 	defer c.topo.RUnlock()

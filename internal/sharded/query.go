@@ -11,57 +11,74 @@ import (
 
 // Query-side machinery shared by CashRegister and Turnstile.
 //
-// The old query path re-probed mergeability and re-folded all P shards
-// sequentially on every call. Both costs are gone:
+// Each shard carries a write epoch, bumped under its lock before every
+// mutation. The combined artifact of a query is cached together with
+// the generation id, the retired-component version, and the epoch
+// vector observed while each shard was read; a later query revalidates
+// all three lock-free and reuses the artifact when nothing changed, so
+// repeated queries on a quiet container never fold anything and never
+// touch the topology lock. Rebuilds run under the topology read lock,
+// so a fold never observes a half-drained reshard. What a rebuild
+// builds depends on the family, probed once per factory (foldCaps):
 //
-//   - Mergeability (the family implements core.Mergeable AND the
-//     factory produces merge-compatible instances — identical configs
-//     and seeds) is probed once per factory against two throwaway
-//     instances and cached on the generation; a factory drawing random
-//     seeds is detected up front instead of failing inside every query.
-//   - Each shard carries a write epoch, bumped under its lock before
-//     every mutation. The combined artifact (merged summary or
-//     per-shard snapshots) is cached together with the generation id,
-//     the retired-component version, and the epoch vector observed
-//     while each shard was read; a later query revalidates all three
-//     lock-free and reuses the artifact when nothing changed — repeated
-//     queries on a quiet sharded summary never fold anything and never
-//     touch the topology lock.
-//   - A rebuild folds the shards by a parallel tree-merge: one worker
-//     per shard merges that shard into its own fresh summary (holding
-//     only that shard's lock), then the P partials reduce pairwise in
-//     ⌈log₂P⌉ parallel rounds. Rebuilds run under the topology read
-//     lock, so a fold never observes a half-drained reshard.
+//   - One shard and no frozen components: the shard answers by itself,
+//     from its own exact snapshot when it has one, and otherwise under
+//     its lock (the dyadic sketches, GKBiased). Nothing is copied or
+//     merged. The goroutine-safe wrappers are such containers (Sole).
+//   - Run-listing families (core.RunLister: KLL, MRL99, Random): each
+//     shard's runs are copied under that shard's lock, with its epoch,
+//     and one core.FoldRuns merges them, with the runs of every
+//     run-listing frozen component, into one snapshot. No lock is held
+//     during the merge, and the shards need not merge as summaries:
+//     differently seeded shards and frozen finer-ε components fold the
+//     same way.
+//   - Other mergeable families (q-digest, the dyadic sketches): one
+//     worker per shard merges that shard into its own fresh summary
+//     (holding only that shard's lock), then the P partials reduce
+//     pairwise in ⌈log₂P⌉ parallel rounds.
+//   - Other families with exact snapshots (the GK tuple summaries): one
+//     snapshot per shard, combined by additive rank.
 //
-// Accuracy of the non-mergeable (GK) combination, via cached exact
-// per-shard snapshots: the summed estimate R̂(x) = Σᵢ R̂ᵢ(x) differs
-// from the true combined rank by at most Σᵢ(2εᵢnᵢ + 1) ≤ 2εn + parts —
-// each shard's midpoint estimator is uncertain by the ⌊2εᵢnᵢ⌋ capacity
-// of the gap a probe falls into, plus one for its −1 bias; parts counts
+// Accuracy. A rank over the union of the shards' weighted samples errs
+// by at most Σᵢ εᵢnᵢ ≤ εn, where ε is the largest budget in play
+// (EpsBudget): each sample set answers its own share within its own
+// budget, and counts over a union add. The run fold adds no compaction
+// on top, where a merge tree adds one per level. For the additive GK
+// combination the summed estimate R̂(x) = Σᵢ R̂ᵢ(x) differs from the
+// true combined rank by at most Σᵢ(2εᵢnᵢ + 1) ≤ 2εn + parts — each
+// shard's midpoint estimator is uncertain by the ⌊2εᵢnᵢ⌋ capacity of
+// the gap a probe falls into, plus one for its −1 bias; parts counts
 // live shards plus the components frozen by elastic operations. The
-// bitwise descent (rankQuantile) inverts R̂ within the same bound. The
-// snapshots are exact flattenings, so this path returns byte-identical
-// answers to folding the live shards while quiescent.
+// bitwise descent (rankQuantile) inverts R̂ within the same bound.
 
 // foldCaps records what query artifacts a factory's summaries support,
 // probed once per factory (construction, Retarget, decode).
 type foldCaps struct {
 	// mergeable: the factory's summaries fold into one via
 	// core.Mergeable. snapAll: they flatten exactly via
-	// core.Snapshotter.
+	// core.Snapshotter. runs: they list their samples as sorted runs
+	// (core.RunLister).
 	mergeable bool
 	snapAll   bool
+	runs      bool
 }
 
 // probeCaps probes a factory against two throwaway instances, so the
 // probe merge cannot perturb live shards.
 func probeCaps(fresh func() core.Summary) foldCaps {
 	a, b := fresh(), fresh()
-	var caps foldCaps
+	caps := capsOf(a)
 	if m, ok := a.(core.Mergeable); ok {
 		caps.mergeable = m.MergeSummary(b) == nil
 	}
-	_, caps.snapAll = a.(core.Snapshotter)
+	return caps
+}
+
+// capsOf reports the capabilities one instance shows by its type alone.
+func capsOf(s core.Summary) foldCaps {
+	var caps foldCaps
+	_, caps.snapAll = s.(core.Snapshotter)
+	_, caps.runs = s.(core.RunLister)
 	return caps
 }
 
@@ -82,19 +99,18 @@ type queryCache struct {
 func (q *queryCache) invalidate() { q.cur.Store(nil) }
 
 // combinedEntry is one cached fold of the whole container. Exactly one
-// of the three live-shard artifact shapes is populated:
+// of the three artifact shapes is populated:
 //
-//   - qs: exact snapshot of the merged summary (mergeable Snapshotter
-//     families — KLL, MRL99, Random, QDigest). Queries never touch the
-//     merged summary itself, which matters for QDigest, whose queries
+//   - qs: one exact snapshot — the lone shard's own, the run fold, or
+//     the snapshot of the merged summary (q-digest). Queries never
+//     touch a summary, which matters for the families whose queries
 //     flush.
-//   - sum: the merged summary, queried directly (mergeable
-//     non-Snapshotter families — the dyadic sketches, whose queries are
-//     pure reads).
-//   - snaps: one exact snapshot per shard (non-mergeable Snapshotter
-//     families — the GK tuple summaries), combined by additive rank.
+//   - sum: the merged summary, queried directly (the dyadic sketches,
+//     whose queries are pure reads).
+//   - snaps: one exact snapshot per shard (the GK tuple summaries),
+//     combined by additive rank.
 //
-// comps carries the frozen retired components captured at fold time;
+// comps carries the frozen components the artifact does not cover;
 // when present, ranks add their contribution and quantiles go through
 // the rank descent over the combined estimate.
 //
@@ -102,8 +118,9 @@ func (q *queryCache) invalidate() { q.cur.Store(nil) }
 // For the same reason a retired entry is never recycled into a pool:
 // a reader that loaded it just before the epoch bump may still be
 // mid-query, so its arrays must stay untouched until the GC reclaims
-// them. Pooling on this path is confined to per-call descent scratch
-// (descentPool, rankBufPool), which never escapes its function.
+// them. Pooling on this path is confined to per-call scratch
+// (core.FoldRuns, descentPool, rankBufPool), which never escapes its
+// function.
 type combinedEntry struct {
 	genID  uint64   // topology generation at fold time
 	retVer uint64   // retired-component version at fold time
@@ -117,8 +134,8 @@ type combinedEntry struct {
 
 // entry returns a fold of the container valid for its current topology
 // and epochs, rebuilding at most once per write generation; nil when
-// the family supports neither folding shape (GKBiased) and the caller
-// must fold the live shards itself.
+// the family has no cached artifact (a lone shard without a snapshot,
+// or GKBiased) and the caller must query the live shards itself.
 func (q *queryCache) entry(c *container) *combinedEntry {
 	if e := q.cur.Load(); e != nil && e.validFor(c) {
 		return e
@@ -131,26 +148,33 @@ func (q *queryCache) entry(c *container) *combinedEntry {
 		return e // another query rebuilt first
 	}
 	g := c.gen.Load()
-	if !g.caps.mergeable && !g.caps.snapAll {
-		return nil
-	}
+	comps := c.ret.comps
 	var e *combinedEntry
-	if g.caps.mergeable {
-		e = rebuildCombined(g)
-	}
-	if e == nil && g.caps.snapAll {
-		e = rebuildSnaps(g)
+	switch {
+	case len(g.shards) == 1 && len(comps) == 0:
+		if g.caps.snapAll {
+			e = rebuildSnaps(g)
+		}
+	case g.caps.runs:
+		e = rebuildRuns(g, comps)
+	default:
+		if g.caps.mergeable {
+			e = rebuildCombined(g)
+		}
+		if e == nil && g.caps.snapAll {
+			e = rebuildSnaps(g)
+		}
+		if e != nil {
+			e.comps = comps
+		}
 	}
 	if e == nil {
 		return nil
 	}
 	e.genID = g.id
 	e.retVer = c.ret.ver.Load()
-	if comps := c.ret.comps; len(comps) > 0 {
-		e.comps = comps
-		for _, comp := range comps {
-			e.n += comp.n
-		}
+	for _, comp := range e.comps {
+		e.n += comp.n
 	}
 	q.cur.Store(e)
 	return e
@@ -174,6 +198,32 @@ func (e *combinedEntry) validFor(c *container) bool {
 		}
 	}
 	return true
+}
+
+// rebuildRuns folds a run-listing generation into one snapshot: every
+// live shard's runs, copied under that shard's lock, and the runs of
+// every frozen component that lists them, merged by one core.FoldRuns
+// with no lock held. The components that list no runs are left to the
+// additive combination. Every shard of a generation has the type its
+// capabilities were probed on, so every shard lists runs.
+func rebuildRuns(g *generation, comps []*retiredComp) *combinedEntry {
+	e := &combinedEntry{epochs: make([]uint64, len(g.shards))}
+	e.qs = core.FoldRuns(func(rs *core.Runs) {
+		for i := range g.shards {
+			e.epochs[i] = g.withShard(i, func(s core.Summary) {
+				rs.CopyRuns(s.(core.RunLister))
+				e.n += s.Count()
+			})
+		}
+		for _, comp := range comps {
+			if !comp.copyRuns(rs) {
+				e.comps = append(e.comps, comp)
+				continue
+			}
+			e.n += comp.n
+		}
+	})
+	return e
 }
 
 // mergedFold folds all shards of g into one fresh summary by parallel
@@ -242,7 +292,8 @@ func mergeTree(parts []core.Summary) bool {
 }
 
 // rebuildSnaps flattens every shard into an exact snapshot, in
-// parallel, each under its own shard lock.
+// parallel, each under its own shard lock. A lone shard's snapshot
+// answers by itself.
 func rebuildSnaps(g *generation) *combinedEntry {
 	p := len(g.shards)
 	e := &combinedEntry{epochs: make([]uint64, p), snaps: make([]*core.QuerySnapshot, p)}
@@ -264,6 +315,9 @@ func rebuildSnaps(g *generation) *combinedEntry {
 	}
 	for _, n := range ns {
 		e.n += n
+	}
+	if p == 1 {
+		e.qs, e.snaps = e.snaps[0], nil
 	}
 	return e
 }

@@ -15,20 +15,22 @@
 //     stays in the strict turnstile model.
 //
 // Queries combine the shards within the composed error bound
-// Σ εᵢnᵢ ≤ εn: summaries implementing core.Mergeable (the dyadic
-// linear sketches, KLL, q-digest, MRL99, Random) fold into one
-// fresh summary which answers directly; the rest (the GK family)
-// combine by additive rank estimation — the summed per-shard rank
-// estimate tracks the true combined rank everywhere within the summed
-// estimate errors (at most 2εn + P for GK's midpoint estimator, far
-// less in practice), and a 64-bit bitwise descent over the value domain
-// inverts it.
+// Σ εᵢnᵢ ≤ εn: the sampling summaries that list sorted runs (KLL,
+// MRL99, Random) fold into one snapshot by a single merge of every
+// shard's runs; the other mergeable summaries (the dyadic linear
+// sketches, q-digest) fold into one fresh summary which answers
+// directly; the rest (the GK family) combine by additive rank
+// estimation — the summed per-shard rank estimate tracks the true
+// combined rank everywhere within the summed estimate errors (at most
+// 2εn + P for GK's midpoint estimator, far less in practice), and a
+// 64-bit bitwise descent over the value domain inverts it. A lone shard
+// answers by itself, which makes a one-shard container (Sole) the
+// engine of the goroutine-safe wrappers.
 //
-// The fold itself is cached and parallel: mergeability is probed once
-// per factory, every shard carries a write epoch, and the combined
-// artifact (merged summary or exact per-shard snapshots) is reused
-// lock-free across queries until some shard is written again — see
-// query.go.
+// The fold itself is cached: capabilities are probed once per factory,
+// every shard carries a write epoch, and the combined artifact is
+// reused lock-free across queries until some shard is written again —
+// see query.go.
 //
 // # Elasticity
 //
@@ -107,10 +109,11 @@ type shard struct {
 }
 
 // generation is one immutable shard topology: the shard array, the
-// factory that populated it, and the factory's probed fold
-// capabilities. A generation's fields never change after publication;
-// elastic operations build a successor and swap the container's
-// pointer.
+// factory that populated it (nil for a Sole container, which never
+// reshards, retargets by factory or decodes a frame), and the probed
+// fold capabilities. A generation's fields never change after
+// publication; elastic operations build a successor and swap the
+// container's pointer.
 //
 // A turnstile's generation 0 routes by value affinity, so every shard
 // individually obeys the strict turnstile model. After a Reshard the
@@ -199,10 +202,11 @@ func (c *container) Shards() int { return len(c.gen.Load().shards) }
 // bumped by every Reshard/Retarget/decode.
 func (c *container) Generation() uint64 { return c.gen.Load().id }
 
-// Mergeable reports whether queries fold the shards into one merged
-// summary (the family merges and the factory's instances are
-// merge-compatible), probed once per factory — a factory drawing random
-// seeds is detected here instead of failing inside every query.
+// Mergeable reports whether the factory's instances merge as summaries
+// (the family merges and the instances are merge-compatible), probed
+// once per factory — a factory drawing random seeds is detected here
+// instead of failing inside every drain. Queries of the run-listing
+// families fold the shards whether or not they merge.
 func (c *container) Mergeable() bool { return c.gen.Load().caps.mergeable }
 
 // Count implements core.Summary: live shards plus frozen components.
@@ -226,9 +230,9 @@ func (c *container) countLocked() int64 {
 	return n + c.ret.count()
 }
 
-// Rank implements core.Summary. Mergeable families answer from the
-// (cached) merged summary — for the linear sketches, exactly the
-// unsharded estimate. Otherwise ranks are additive across a partition:
+// Rank implements core.Summary. Folded families answer from the
+// (cached) fold — for the linear sketches, exactly the unsharded
+// estimate. Otherwise ranks are additive across a partition:
 // the estimate is the sum of per-shard estimates and its error the sum
 // of per-shard estimate errors — for the GK family, whose midpoint
 // estimator is uncertain by up to the ⌊2εᵢnᵢ⌋ capacity of the gap a
@@ -294,6 +298,10 @@ func (c *container) Quantile(phi float64) uint64 {
 	}
 	c.topo.RLock()
 	defer c.topo.RUnlock()
+	var q uint64
+	if c.soleLocked(func(s core.Summary) { q = s.Quantile(phi) }) {
+		return q
+	}
 	return rankQuantile(c.countLocked(), c.summedRankLocked, phi)
 }
 
@@ -309,7 +317,24 @@ func (c *container) QuantileBatch(phis []float64) []uint64 {
 	}
 	c.topo.RLock()
 	defer c.topo.RUnlock()
+	var qs []uint64
+	if c.soleLocked(func(s core.Summary) { qs = core.QuantileBatch(s, phis) }) {
+		return qs
+	}
 	return rankQuantileBatch(c.countLocked(), c.summedRankBatchLocked, phis)
+}
+
+// soleLocked runs fn under the shard's lock when one live shard holds
+// all the data (no frozen components), and reports whether it did: such
+// a shard answers quantiles itself, with no rank descent. The caller
+// holds the topology read lock.
+func (c *container) soleLocked(fn func(s core.Summary)) bool {
+	g := c.gen.Load()
+	if len(g.shards) != 1 || len(c.ret.comps) != 0 {
+		return false
+	}
+	g.withShard(0, fn)
+	return true
 }
 
 // SpaceBytes implements core.Summary: the sum over shards and frozen

@@ -1,118 +1,32 @@
-// Package snapshot provides epoch-guarded caching of flattened query
-// snapshots (core.QuerySnapshot): a write-epoch counter is bumped by
-// the owning wrapper on every mutation, and readers reuse a previously
-// built snapshot only while its epoch still matches — so repeated
-// queries between writes are lock-free O(log s) binary searches, and
-// the first query after a write rebuilds.
+// Package snapshot provides single-goroutine caching of flattened
+// query snapshots (core.QuerySnapshot) and approximate grid snapshots
+// for the families without an exact flattening.
 //
-// The protocol (see DESIGN.md "Query snapshots"):
-//
-//   - The owner calls Invalidate() while holding its write lock, before
-//     mutating the summary.
-//   - A reader calls Current(); a non-nil result is immutable and safe
-//     to query without any lock.
-//   - On nil, the reader takes the owner's query lock (shared for pure
-//     readers, exclusive for Flusher summaries), re-checks Current()
-//     (another reader may have rebuilt first), and otherwise calls
-//     Rebuild.
-//
-// Correctness of the lock-free fast path: Store records the epoch
-// observed before the snapshot was built, while the builder held a lock
-// that excludes writers — so epoch E's snapshot reflects every write
-// that completed before E. A reader that loads the entry and then sees
-// the live epoch still equal to the entry's has a guarantee that no
-// write *completed* in between (completed writes bump the counter under
-// the write lock first, and Go atomics are sequentially consistent); a
-// write still in flight has not yet mutated anything the snapshot
-// depends on, and serializing the query before it is linearizable.
+// The concurrent cache lives with the containers: every sharded
+// container, and the goroutine-safe wrappers built on a one-shard
+// container, keep one epoch-keyed combined snapshot that readers reuse
+// lock-free until a shard is written (see internal/sharded and
+// DESIGN.md "Query snapshots"). Cached here is the single-goroutine
+// counterpart for query-heavy loops: it owns its snapshot outright, so
+// it can rebuild into the same columns.
 package snapshot
 
 import (
-	"sync/atomic"
-
 	"streamquantiles/internal/core"
 )
 
-// Cache pairs a write-epoch counter with the snapshot built at some
-// epoch. The zero value is ready to use.
-type Cache struct {
-	epoch atomic.Uint64
-	cur   atomic.Pointer[entry]
-}
-
-type entry struct {
-	epoch uint64
-	qs    *core.QuerySnapshot
-}
-
-// Invalidate bumps the write epoch, retiring any cached snapshot. The
-// owner must call it under its write lock, before mutating the summary.
-func (c *Cache) Invalidate() { c.epoch.Add(1) }
-
-// Epoch returns the current write epoch.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
-
-// Current returns the cached snapshot when it is still valid for the
-// current epoch, or nil when a write has retired it. The returned
-// snapshot is immutable; no lock is needed to query it.
-func (c *Cache) Current() *core.QuerySnapshot {
-	e := c.cur.Load()
-	if e == nil || e.epoch != c.epoch.Load() {
-		return nil
-	}
-	return e.qs
-}
-
-// Rebuild materializes a fresh snapshot of s and caches it under the
-// current epoch. The caller must hold a lock that excludes writers for
-// the duration of the call (the shared query lock suffices; Flusher
-// summaries need the exclusive lock, as for any query). Concurrent
-// Rebuild calls under a shared lock are safe: they build identical
-// snapshots and the last Store wins.
-//
-// The retired snapshot is deliberately NOT recycled into the new build
-// (no AppendQuerySnapshot over the old arrays, no pool): readers that
-// loaded it lock-free just before the epoch bump may still be mid
-// binary search, so its arrays must stay immutable until the GC
-// reclaims them. Capacity reuse is only sound where a single goroutine
-// owns the snapshot — see Cached.
-func (c *Cache) Rebuild(s core.Snapshotter) *core.QuerySnapshot {
-	epoch := c.Epoch()
-	qs := core.BuildQuerySnapshot(s)
-	c.cur.Store(&entry{epoch: epoch, qs: qs})
-	return qs
-}
-
-// For returns a fresh Cache when s supports exact snapshots
-// (core.Snapshotter), nil otherwise — the capability probe the Safe
-// wrappers run at construction and again after a Retarget swap.
-func For(s core.Summary) *Cache {
-	if _, ok := s.(core.Snapshotter); ok {
-		return new(Cache)
-	}
-	return nil
-}
-
-// BuildGrid materializes an approximate snapshot of an arbitrary
-// summary by probing it on the even φ-grid of spacing gridEps: the
-// families without an exact flattening (the dyadic sketches, whose
-// per-level state cannot collapse into one sorted array, and GKBiased,
-// whose extraction bound depends on the queried rank) can still trade
-// freshness for O(log(1/gridEps)) repeated queries. Answers carry the
-// summary's ε plus at most gridEps·n additional rank error — callers
-// choose gridEps accordingly (ε/2 halves are the usual choice). Unlike
-// the exact snapshots the Safe wrappers build, grid snapshots are
-// opt-in: they change answers, so nothing routes through them
-// implicitly.
-func BuildGrid(s core.Summary, gridEps float64) *core.QuerySnapshot {
-	qs := new(core.QuerySnapshot)
-	AppendGrid(qs, s, gridEps)
-	return qs
-}
-
-// AppendGrid overwrites qs with a grid snapshot of s (see BuildGrid),
-// reusing qs's slice capacity. Callers own the single-writer protocol:
-// qs must not be visible to concurrent readers during the rebuild.
+// AppendGrid overwrites qs with an approximate snapshot of an arbitrary
+// summary, probing it on the even φ-grid of spacing gridEps and reusing
+// qs's slice capacity: the families without an exact flattening (the
+// dyadic sketches, whose per-level state cannot collapse into one
+// sorted array, and GKBiased, whose extraction bound depends on the
+// queried rank) can still trade freshness for O(log(1/gridEps))
+// repeated queries. Answers carry the summary's ε plus at most
+// gridEps·n additional rank error — callers choose gridEps accordingly
+// (ε/2 halves are the usual choice). Grid snapshots are opt-in: they
+// change answers, so nothing routes through them implicitly. Callers
+// own the single-writer protocol: qs must not be visible to concurrent
+// readers during the rebuild.
 func AppendGrid(qs *core.QuerySnapshot, s core.Summary, gridEps float64) {
 	core.CheckEps(gridEps)
 	qs.Reset()
@@ -141,12 +55,12 @@ func AppendGrid(qs *core.QuerySnapshot, s core.Summary, gridEps float64) {
 // snapshot on first query — exact when the summary implements
 // core.Snapshotter, grid-based otherwise — and reuses it until the
 // caller signals a write with Invalidate. For concurrent use, wrap the
-// summary in a Safe* wrapper instead, which drives a Cache under its
-// own locks.
+// summary in a Safe* wrapper instead, whose container keeps an
+// epoch-keyed snapshot under its own locks.
 // Being single-goroutine is also what lets Cached recycle: Invalidate
 // only marks the snapshot stale, and the next query rebuilds *into the
 // same QuerySnapshot*, reusing its column capacity — the allocation-free
-// invalidate/rebuild cycle the Cache type must forgo (its retired
+// invalidate/rebuild cycle the concurrent cache must forgo (its retired
 // snapshots may still be read lock-free).
 type Cached struct {
 	s       core.Summary

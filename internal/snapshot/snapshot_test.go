@@ -9,13 +9,10 @@ import (
 // exactList is a toy summary over sorted distinct unit-weight values
 // with exact answers, implementing both core.Summary and
 // core.Snapshotter so every cache path can be pinned against ground
-// truth. builds counts snapshot materializations; onBuild (optional)
-// runs inside AppendQuerySnapshot, letting tests interleave a
-// "concurrent" write mid-rebuild.
+// truth. builds counts snapshot materializations.
 type exactList struct {
-	vals    []uint64
-	builds  int
-	onBuild func()
+	vals   []uint64
+	builds int
 }
 
 func (e *exactList) Count() int64      { return int64(len(e.vals)) }
@@ -41,9 +38,6 @@ func (e *exactList) Quantile(phi float64) uint64 {
 
 func (e *exactList) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	e.builds++
-	if e.onBuild != nil {
-		e.onBuild()
-	}
 	qs.Reset() // the Snapshotter contract: overwrite, reusing capacity
 	n := int64(len(e.vals))
 	qs.N = n
@@ -65,72 +59,6 @@ func ramp(n int) []uint64 {
 		vals[i] = uint64(i) * 10
 	}
 	return vals
-}
-
-// TestCacheProtocol walks the epoch protocol: empty cache misses, a
-// rebuild serves until the next Invalidate, and queries between writes
-// never rebuild.
-func TestCacheProtocol(t *testing.T) {
-	s := &exactList{vals: ramp(1000)}
-	var c Cache
-	if c.Current() != nil {
-		t.Fatal("empty cache returned a snapshot")
-	}
-	qs := c.Rebuild(s)
-	if qs == nil || s.builds != 1 {
-		t.Fatalf("Rebuild built %d snapshots, want 1", s.builds)
-	}
-	if got := c.Current(); got != qs {
-		t.Fatalf("Current() = %p after rebuild, want the rebuilt snapshot %p", got, qs)
-	}
-	for _, phi := range core.EvenPhis(0.1) {
-		if got, want := qs.Quantile(phi), s.Quantile(phi); got != want {
-			t.Errorf("snapshot Quantile(%v) = %d, exact %d", phi, got, want)
-		}
-	}
-	for x := uint64(0); x < 10000; x += 7 {
-		if got, want := qs.Rank(x), s.Rank(x); got != want {
-			t.Errorf("snapshot Rank(%d) = %d, exact %d", x, got, want)
-		}
-	}
-	if c.Current() != qs || s.builds != 1 {
-		t.Fatal("repeated Current() calls must not rebuild")
-	}
-	before := c.Epoch()
-	c.Invalidate()
-	if c.Epoch() != before+1 {
-		t.Fatalf("Invalidate bumped epoch to %d, want %d", c.Epoch(), before+1)
-	}
-	if c.Current() != nil {
-		t.Fatal("Current() served a snapshot retired by Invalidate")
-	}
-	if c.Rebuild(s) == nil || s.builds != 2 {
-		t.Fatalf("post-invalidate Rebuild built %d snapshots, want 2", s.builds)
-	}
-	if c.Current() == nil {
-		t.Fatal("Current() nil after re-rebuild")
-	}
-}
-
-// TestCacheRebuildRace pins the ordering argument: a write that lands
-// while a rebuild is in flight (epoch bump between the epoch read and
-// the store) must leave the stored entry invalid — the next reader
-// rebuilds instead of serving the torn snapshot.
-func TestCacheRebuildRace(t *testing.T) {
-	var c Cache
-	s := &exactList{vals: ramp(100)}
-	s.onBuild = func() { c.Invalidate() } // "concurrent" write mid-build
-	if qs := c.Rebuild(s); qs == nil {
-		t.Fatal("Rebuild returned nil")
-	}
-	if c.Current() != nil {
-		t.Fatal("Current() served a snapshot whose build a write overlapped")
-	}
-	s.onBuild = nil
-	c.Rebuild(s)
-	if c.Current() == nil {
-		t.Fatal("clean rebuild after the race must serve again")
-	}
 }
 
 // gridOnly hides the Snapshotter method so NewCached takes the grid
@@ -179,22 +107,6 @@ func TestBuildGridRankError(t *testing.T) {
 		if got := grid.Rank(x); got-want > slack || want-got > slack {
 			t.Errorf("grid Rank(%d) = %d, exact %d: off by more than %d", x, got, want, slack)
 		}
-	}
-}
-
-// BenchmarkCacheRebuild measures the concurrent Cache's rebuild path,
-// which must allocate a fresh snapshot every time (retired snapshots
-// may still be read lock-free, so their arrays cannot be reused).
-func BenchmarkCacheRebuild(b *testing.B) {
-	const n = 1 << 14
-	s := &exactList{vals: ramp(n)}
-	var c Cache
-	b.SetBytes(n * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Invalidate()
-		c.Rebuild(s)
 	}
 }
 

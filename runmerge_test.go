@@ -12,11 +12,10 @@ import (
 
 // The sampling families rebuild their query snapshots by merging their
 // sorted buffers, sorting any unsorted one as a copy in per-call
-// scratch. Several readers of one SafeCashRegister may rebuild at once
-// under the shared lock, so the rebuild must never write summary state:
-// these tests race readers against each other and against a writer
-// (run them under -race) and compare every answer with an unwrapped
-// twin fed the same batches.
+// scratch. Callers may share one summary between readers, so the
+// rebuild must never write summary state: these tests race readers
+// against each other and against a writer (run them under -race) and
+// compare every answer with an unwrapped twin fed the same batches.
 
 var runMergeFamilies = []struct {
 	name  string

@@ -46,96 +46,93 @@ func TestSafeCashRegisterConcurrent(t *testing.T) {
 	}
 }
 
-// TestSafeFlusherDetection pins the lock-mode selection: summaries that
-// flush buffered work at query time must be detected and demoted to
-// exclusive reads; pure-reader summaries must keep shared reads.
-func TestSafeFlusherDetection(t *testing.T) {
-	flushing := map[string]CashRegister{
-		"GKArray":  NewGKArray(0.01),
-		"GKBiased": NewGKBiased(0.01),
-		"QDigest":  NewQDigest(0.01, 16),
+// safeReader is the query surface both Safe wrappers share.
+type safeReader interface {
+	Count() int64
+	Quantile(phi float64) uint64
+	Quantiles(phis []float64) []uint64
+	Rank(x uint64) int64
+	SpaceBytes() int64
+}
+
+// hammerSafe drives dedicated reader goroutines against a continuous
+// writer feeding 0 … n−1 through write, then checks the count and the
+// median within eps·n. Under -race this is the proof that every query
+// path is sound against writes, whether it answers from the cached
+// snapshot or queries (and possibly flushes) the summary under the
+// shard's lock.
+func hammerSafe(t *testing.T, s safeReader, write func(uint64), n int, eps float64) {
+	t.Helper()
+	const readers = 4
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s.Count() == 0 {
+					continue
+				}
+				q := s.Quantile(0.5)
+				_ = s.Rank(q)
+				_ = s.SpaceBytes()
+				if i%64 == 0 {
+					_ = s.Quantiles([]float64{0.25, 0.75})
+				}
+			}
+		}()
 	}
-	for name, s := range flushing {
-		if !NewSafeCashRegister(s).exclusiveReads.Load() {
-			t.Errorf("%s flushes on query but was given shared reads", name)
-		}
+	for i := 0; i < n; i++ {
+		write(uint64(i))
 	}
-	pure := map[string]CashRegister{
-		"GKAdaptive": NewGKAdaptive(0.01),
-		"GKTheory":   NewGKTheory(0.01),
-		"MRL99":      NewMRL99(0.01, 1),
-		"Random":     NewRandom(0.01, 1),
-		"KLL":        NewKLL(0.01, 1),
-		"Windowed":   NewWindowed(0.05, 1000, 1),
+	close(stop)
+	wg.Wait()
+	if s.Count() != int64(n) {
+		t.Fatalf("count %d, want %d", s.Count(), n)
 	}
-	for name, s := range pure {
-		if NewSafeCashRegister(s).exclusiveReads.Load() {
-			t.Errorf("%s is a pure reader at query time but was demoted to exclusive reads", name)
-		}
-	}
-	if NewSafeTurnstile(NewDCS(0.05, 12, DyadicConfig{Seed: 1})).exclusiveReads.Load() {
-		t.Error("DCS is a pure reader at query time but was demoted to exclusive reads")
+	med := s.Quantile(0.5)
+	slack := uint64(eps * float64(n))
+	if med < uint64(n/2)-slack || med > uint64(n/2)+slack {
+		t.Errorf("median %d outside %d±%d", med, n/2, slack)
 	}
 }
 
-// TestSafeConcurrentReadersAndWriter drives dedicated reader goroutines
-// against a continuous writer, for both lock regimes. Under -race this
-// is the proof that shared-read queries are actually sound: a summary
-// that mutated during an RLocked query would be flagged immediately.
+// TestSafeConcurrentReadersAndWriter covers every query regime of the
+// wrappers: shared lock-free snapshot answers (KLL), snapshot rebuilds
+// that flush buffered elements under the shard's exclusive lock
+// (GKArray, QDigest), and queries under the shard's lock for the
+// families without a snapshot (GKBiased, which flushes on query, and
+// DCS, a pure reader).
 func TestSafeConcurrentReadersAndWriter(t *testing.T) {
-	summaries := map[string]CashRegister{
-		"KLL-sharedreads":        NewKLL(0.02, 7),  // pure reader: RLock path
-		"GKArray-exclusivereads": NewGKArray(0.02), // Flusher: Lock path
+	const n, eps = 20000, 0.02
+	cash := map[string]func() CashRegister{
+		"KLL-sharedreads":        func() CashRegister { return NewKLL(eps, 7) },
+		"GKArray-exclusivereads": func() CashRegister { return NewGKArray(eps) },
+		"QDigest-exclusivereads": func() CashRegister { return NewQDigest(eps, 16) },
+		"GKBiased-lockedreads":   func() CashRegister { return NewGKBiased(eps) },
 	}
-	for name, inner := range summaries {
+	for name, fresh := range cash {
 		t.Run(name, func(t *testing.T) {
-			s := NewSafeCashRegister(inner)
-			const n = 20000
-			const readers = 4
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if s.Count() == 0 {
-							continue
-						}
-						q := s.Quantile(0.5)
-						_ = s.Rank(q)
-						_ = s.SpaceBytes()
-						if i%64 == 0 {
-							_ = s.Quantiles([]float64{0.25, 0.75})
-						}
-					}
-				}(r)
-			}
-			for i := 0; i < n; i++ {
-				s.Update(uint64(i))
-			}
-			close(stop)
-			wg.Wait()
-			if s.Count() != n {
-				t.Fatalf("count %d, want %d", s.Count(), n)
-			}
-			med := s.Quantile(0.5)
-			slack := uint64(float64(n) * 0.02)
-			if med < n/2-slack || med > n/2+slack {
-				t.Errorf("median %d outside %d±%d", med, n/2, slack)
-			}
+			s := NewSafeCashRegister(fresh())
+			hammerSafe(t, s, s.Update, n, eps)
 		})
 	}
+	t.Run("DCS-lockedreads", func(t *testing.T) {
+		s := NewSafeTurnstile(NewDCS(eps, 16, DyadicConfig{Seed: 7}))
+		hammerSafe(t, s, s.Insert, n, eps)
+	})
 }
 
 // TestSafeCheckpointWhileUpdating checkpoints a summary repeatedly while
-// writers hammer it. Under -race this pins the Snapshot contract: marshal
-// runs under the shared lock and must therefore be read-only. Every
+// writers hammer it. Under -race this pins the Snapshot contract: the
+// marshal runs under the shard's lock, concurrently with lock-free
+// snapshot queries, and must leave the summary's answers intact. Every
 // published generation must decode into a self-consistent summary whose
 // count reflects some prefix of the concurrent stream.
 func TestSafeCheckpointWhileUpdating(t *testing.T) {
@@ -143,8 +140,8 @@ func TestSafeCheckpointWhileUpdating(t *testing.T) {
 		name  string
 		fresh func() CashRegister
 	}{
-		// One pure reader (shared-lock queries) and one Flusher
-		// (exclusive queries, marshals its un-flushed buffer).
+		// A pure reader, and a summary whose queries flush buffered
+		// elements (its marshal encodes the un-flushed buffer).
 		{"KLL", func() CashRegister { return NewKLL(0.02, 7) }},
 		{"GKArray", func() CashRegister { return NewGKArray(0.02) }},
 	} {

@@ -1,17 +1,21 @@
 package streamquantiles
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"testing"
 
 	"streamquantiles/internal/core"
+	"streamquantiles/internal/exact"
+	"streamquantiles/internal/streamgen"
 )
 
 // Sharded query-path properties: the construction-time mergeability
-// probe, the epoch-keyed fold cache, the parallel tree-merge's
-// equivalence to a sequential fold, and the 2εn+P combined-rank bound
-// of the GK additive combination.
+// probe, the epoch-keyed fold cache, the run fold's equivalence to the
+// re-sorted union of the shards' samples and its accuracy, the
+// one-shard rule, and the 2εn+P combined-rank bound of the GK additive
+// combination.
 
 // TestShardedMergeableProbe pins the construction-time capability
 // probe: a merge-compatible factory folds, a factory whose instances
@@ -33,19 +37,21 @@ func TestShardedMergeableProbe(t *testing.T) {
 	if gk.Mergeable() {
 		t.Error("GKArray is not Mergeable, but the probe claims it folds")
 	}
-	// The drifting factory must still answer (per-shard snapshots
-	// combined by additive rank), just without the merged fast path.
+	// The drifting factory must still answer, and within the unsharded
+	// budget: the run fold does not need the shards to merge.
 	data := batchTestData(4000)
 	feedBatches(drift.UpdateBatch, data)
 	sorted := append([]uint64(nil), data...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rankWithinEps(t, sorted, 0.5, drift.Quantile(0.5), int64(2*0.01*float64(len(data)))+2)
+	rankWithinEps(t, sorted, 0.5, drift.Quantile(0.5), int64(0.01*float64(len(data))))
 }
 
 // TestShardedFoldCacheReuse counts factory invocations to pin the
-// epoch cache's contract: folding a mergeable family costs one fresh
-// summary per shard per *write generation*, never per query — and the
-// snapshot combination of non-mergeable families costs none at all.
+// epoch cache's contract: folding a tree-merged family (q-digest) costs
+// one fresh summary per shard per *write generation*, never per query —
+// and the run fold and the snapshot combination cost none at all. For
+// the run fold, a quiet container's queries allocate nothing: they
+// answer from the cached snapshot.
 func TestShardedFoldCacheReuse(t *testing.T) {
 	const p = 4
 	data := batchTestData(20000)
@@ -55,7 +61,7 @@ func TestShardedFoldCacheReuse(t *testing.T) {
 		var calls atomic.Int64
 		s := mustShardedCash(t, p, func() CashRegister {
 			calls.Add(1)
-			return NewKLL(0.01, 7)
+			return NewQDigest(0.01, 16)
 		})
 		base := calls.Load()
 		if base != p+2 {
@@ -81,6 +87,26 @@ func TestShardedFoldCacheReuse(t *testing.T) {
 		}
 	})
 
+	t.Run("runs", func(t *testing.T) {
+		var calls atomic.Int64
+		s := mustShardedCash(t, p, func() CashRegister {
+			calls.Add(1)
+			return NewKLL(0.01, 7)
+		})
+		base := calls.Load()
+		feedBatches(s.UpdateBatch, data)
+		s.Quantile(0.5)
+		if allocs := testing.AllocsPerRun(20, func() { s.Quantile(0.9) }); allocs != 0 {
+			t.Errorf("a quiet container's query allocated %v times, want 0 (cache hit)", allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.Update(data[0]); s.Quantile(0.9) }); allocs == 0 {
+			t.Error("a query after a write allocated nothing: the fold was not rebuilt")
+		}
+		if got := calls.Load(); got != base {
+			t.Errorf("the run fold built %d fresh summaries, want 0", got-base)
+		}
+	})
+
 	t.Run("snapshots", func(t *testing.T) {
 		var calls atomic.Int64
 		s := mustShardedCash(t, p, func() CashRegister {
@@ -99,63 +125,212 @@ func TestShardedFoldCacheReuse(t *testing.T) {
 	})
 }
 
-// TestShardedParallelMergeMatchesManualFold replays the fold by hand —
-// one fresh summary per shard fed that shard's exact round-robin
-// share, reduced in the same pairwise tree order — and requires the
-// sharded summary's cached-fold answers to match exactly. With P=1
-// this also pins the degenerate case: a single-shard summary answers
-// exactly like its unsharded twin.
-func TestShardedParallelMergeMatchesManualFold(t *testing.T) {
+// weightedSamples reads a sampling summary's weighted samples back
+// from its exact snapshot, whose keys are cumulative sample weights.
+func weightedSamples(s core.Snapshotter) []core.WeightedValue {
+	qs := core.BuildQuerySnapshot(s)
+	out := make([]core.WeightedValue, len(qs.QVals))
+	var prev int64
+	for i, v := range qs.QVals {
+		out[i] = core.WeightedValue{V: v, W: qs.QKeys[i] - prev}
+		prev = qs.QKeys[i]
+	}
+	return out
+}
+
+// unionReference re-sorts the union of the parts' weighted samples
+// into the snapshot a run fold over them must equal.
+func unionReference(parts []CashRegister) *core.QuerySnapshot {
+	var union []core.WeightedValue
+	for _, p := range parts {
+		union = append(union, weightedSamples(p.(core.Snapshotter))...)
+	}
+	sort.SliceStable(union, func(i, j int) bool { return union[i].V < union[j].V })
+	ref := new(core.QuerySnapshot)
+	core.AppendWeightedSnapshot(ref, union)
+	return ref
+}
+
+// TestShardedRunFoldMatchesUnion replays the partition by hand — one
+// twin summary per shard fed that shard's exact round-robin share —
+// and requires the sharded answers of the run-listing families to
+// equal, exactly, a snapshot of the re-sorted union of the twins'
+// weighted samples. The second pass retargets to a finer ε midway, so
+// the old shards freeze as components and join the fold.
+func TestShardedRunFoldMatchesUnion(t *testing.T) {
 	const p, chunk = 4, 1000
 	data := batchTestData(24000)
 	phis := EvenPhis(0.05)
-
-	s := mustShardedCash(t, p, func() CashRegister { return NewKLL(0.01, 7) })
-	shards := make([]*KLL, p)
-	for i := range shards {
-		shards[i] = NewKLL(0.01, 7)
+	var probes []uint64
+	for x := uint64(0); x < 1<<16; x += 257 {
+		probes = append(probes, x)
 	}
-	for j, i := 0, 0; i < len(data); j, i = j+1, i+chunk {
-		end := min(i+chunk, len(data))
-		s.UpdateBatch(data[i:end])           // round-robin: chunk j -> shard j%p
-		shards[j%p].UpdateBatch(data[i:end]) // same partition, by hand
+	families := map[string]func(eps float64) CashRegister{
+		"KLL":    func(eps float64) CashRegister { return NewKLL(eps, 7) },
+		"MRL99":  func(eps float64) CashRegister { return NewMRL99(eps, 7) },
+		"Random": func(eps float64) CashRegister { return NewRandom(eps, 7) },
 	}
-	// Replicate rebuildCombined: merge each shard into its own fresh
-	// summary, then reduce pairwise with stride doubling.
-	parts := make([]core.Summary, p)
-	for i, sh := range shards {
-		m := NewKLL(0.01, 7)
-		if err := m.MergeSummary(sh); err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = m
-	}
-	for stride := 1; stride < p; stride *= 2 {
-		for i := 0; i+stride < p; i += 2 * stride {
-			if err := parts[i].(core.Mergeable).MergeSummary(parts[i+stride]); err != nil {
-				t.Fatal(err)
+	for name, fresh := range families {
+		for _, retarget := range []bool{false, true} {
+			s := mustShardedCash(t, p, func() CashRegister { return fresh(0.01) })
+			var twins []CashRegister
+			live := make([]CashRegister, p)
+			for i := range live {
+				live[i] = fresh(0.01)
+			}
+			twins = append(twins, live...)
+			for j, i := 0, 0; i < len(data); j, i = j+1, i+chunk {
+				if retarget && i == len(data)/2 {
+					if err := s.Retarget(func() CashRegister { return fresh(0.005) }); err != nil {
+						t.Fatal(err)
+					}
+					for k := range live {
+						live[k] = fresh(0.005)
+					}
+					twins = append(twins, live...)
+				}
+				s.UpdateBatch(data[i : i+chunk]) // round-robin: chunk j -> shard j%p
+				UpdateBatch(live[j%p], data[i:i+chunk])
+			}
+			if retarget && s.Components() != p {
+				t.Fatalf("%s: %d frozen components after a finer-ε retarget, want %d", name, s.Components(), p)
+			}
+			ref := unionReference(twins)
+			want, got := ref.QuantileBatch(phis), s.QuantileBatch(phis)
+			for i, phi := range phis {
+				if got[i] != want[i] || s.Quantile(phi) != want[i] {
+					t.Errorf("%s (retarget %v): Quantile(%v) = %d (batch %d), union reference %d",
+						name, retarget, phi, s.Quantile(phi), got[i], want[i])
+				}
+			}
+			wantR, gotR := ref.RankBatch(probes), s.RankBatch(probes)
+			for i, x := range probes {
+				if gotR[i] != wantR[i] || s.Rank(x) != wantR[i] {
+					t.Errorf("%s (retarget %v): Rank(%d) = %d (batch %d), union reference %d",
+						name, retarget, x, s.Rank(x), gotR[i], wantR[i])
+				}
 			}
 		}
 	}
-	want := QuantileBatch(parts[0], phis)
-	for i, q := range s.QuantileBatch(phis) {
-		if q != want[i] {
-			t.Errorf("sharded fold Quantile(%v) = %d, manual fold = %d", phis[i], q, want[i])
+}
+
+// TestShardedSingleShardMatchesTwin pins the one-shard rule: a P=1
+// container answers exactly like its unsharded twin, for every family
+// of the study, whether the shard answers from its own snapshot or is
+// queried under its lock (GKBiased, the dyadic sketches).
+func TestShardedSingleShardMatchesTwin(t *testing.T) {
+	const eps = 0.01
+	data := batchTestData(20000)
+	phis := EvenPhis(0.05)
+	probes := data[:200]
+	check := func(t *testing.T, s, twin Summary) {
+		t.Helper()
+		if s.Count() != twin.Count() {
+			t.Fatalf("count %d, twin %d", s.Count(), twin.Count())
+		}
+		want, got := QuantileBatch(twin, phis), QuantileBatch(s, phis)
+		for i, phi := range phis {
+			if got[i] != want[i] || s.Quantile(phi) != twin.Quantile(phi) {
+				t.Errorf("Quantile(%v) = %d (batch %d), twin %d (batch %d)",
+					phi, s.Quantile(phi), got[i], twin.Quantile(phi), want[i])
+			}
+		}
+		wantR, gotR := RankBatch(twin, probes), RankBatch(s, probes)
+		for i, x := range probes {
+			if gotR[i] != wantR[i] || s.Rank(x) != twin.Rank(x) {
+				t.Errorf("Rank(%d) = %d (batch %d), twin %d (batch %d)", x, s.Rank(x), gotR[i], twin.Rank(x), wantR[i])
+			}
 		}
 	}
-
-	single := mustShardedCash(t, 1, func() CashRegister { return NewKLL(0.01, 7) })
-	twin := NewKLL(0.01, 7)
-	feedBatches(single.UpdateBatch, data)
-	feedBatches(twin.UpdateBatch, data)
-	fold := NewKLL(0.01, 7)
-	if err := fold.MergeSummary(twin); err != nil {
-		t.Fatal(err)
+	cash := map[string]func() CashRegister{
+		"GKAdaptive": func() CashRegister { return NewGKAdaptive(eps) },
+		"GKTheory":   func() CashRegister { return NewGKTheory(eps) },
+		"GKArray":    func() CashRegister { return NewGKArray(eps) },
+		"GKBiased":   func() CashRegister { return NewGKBiased(eps) },
+		"QDigest":    func() CashRegister { return NewQDigest(eps, 16) },
+		"MRL99":      func() CashRegister { return NewMRL99(eps, 7) },
+		"Random":     func() CashRegister { return NewRandom(eps, 7) },
+		"KLL":        func() CashRegister { return NewKLL(eps, 7) },
 	}
-	want = QuantileBatch(fold, phis)
-	for i, q := range single.QuantileBatch(phis) {
-		if q != want[i] {
-			t.Errorf("P=1 sharded Quantile(%v) = %d, merged twin = %d", phis[i], q, want[i])
+	for name, fresh := range cash {
+		t.Run(name, func(t *testing.T) {
+			s, twin := mustShardedCash(t, 1, fresh), fresh()
+			feedBatches(s.UpdateBatch, data)
+			feedBatches(twin.(BatchCashRegister).UpdateBatch, data)
+			check(t, s, twin)
+		})
+	}
+	turn := map[string]func() Turnstile{
+		"DCM": func() Turnstile { return NewDCM(eps, 16, DyadicConfig{Seed: 7}) },
+		"DCS": func() Turnstile { return NewDCS(eps, 16, DyadicConfig{Seed: 7}) },
+	}
+	for name, fresh := range turn {
+		t.Run(name, func(t *testing.T) {
+			s, twin := mustShardedTurn(t, 1, fresh), fresh()
+			feedBatches(s.InsertBatch, data)
+			feedBatches(twin.(BatchTurnstile).InsertBatch, data)
+			check(t, s, twin)
+		})
+	}
+}
+
+// TestShardedRunFoldAccuracyAcrossSeeds holds the run fold to the
+// reported budget: KLL, MRL99 and Random at P ∈ {2, 4, 8}, each shard
+// differently seeded (so the shards do not merge as summaries), over
+// many seeds, with a finer-ε retarget midway that freezes the old
+// shards into the fold. Every quantile probe's rank error and every
+// rank probe's error against the exact oracle stays within
+// EpsBudget()·n.
+func TestShardedRunFoldAccuracyAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seed sweep")
+	}
+	const n, eps, seeds = 60000, 0.01, 20
+	phis := EvenPhis(0.02)
+	families := map[string]func(eps float64, seed uint64) CashRegister{
+		"KLL":    func(eps float64, seed uint64) CashRegister { return NewKLL(eps, seed) },
+		"MRL99":  func(eps float64, seed uint64) CashRegister { return NewMRL99(eps, seed) },
+		"Random": func(eps float64, seed uint64) CashRegister { return NewRandom(eps, seed) },
+	}
+	for name, fresh := range families {
+		for _, p := range []int{2, 4, 8} {
+			worst := 0.0
+			for seed := uint64(1); seed <= seeds; seed++ {
+				data := streamgen.Generate(streamgen.Uniform{Bits: 20, Seed: seed}, n)
+				oracle := exact.New(data)
+				var next atomic.Uint64
+				next.Store(seed * 1000)
+				s := mustShardedCash(t, p, func() CashRegister { return fresh(eps, next.Add(1)) })
+				feedBatches(s.UpdateBatch, data[:n/2])
+				if err := s.Retarget(func() CashRegister { return fresh(eps/2, next.Add(1)) }); err != nil {
+					t.Fatal(err)
+				}
+				feedBatches(s.UpdateBatch, data[n/2:])
+				budget := s.EpsBudget()
+				if budget != eps || s.Components() == 0 {
+					t.Fatalf("%s P=%d: budget %v with %d components, want %v with the old shards frozen",
+						name, p, budget, s.Components(), eps)
+				}
+				got := s.QuantileBatch(phis)
+				for i, phi := range phis {
+					worst = max(worst, oracle.QuantileError(got[i], phi))
+					if e := oracle.QuantileError(got[i], phi); e > budget {
+						t.Errorf("%s P=%d seed %d: Quantile(%v) rank error %.5f > EpsBudget %v", name, p, seed, phi, e, budget)
+					}
+				}
+				xs := make([]uint64, len(phis))
+				for i, phi := range phis {
+					xs[i] = oracle.Quantile(phi)
+				}
+				for i, r := range s.RankBatch(xs) {
+					e := math.Abs(float64(r-oracle.Rank(xs[i]))) / n
+					worst = max(worst, e)
+					if e > budget {
+						t.Errorf("%s P=%d seed %d: Rank(%d) error %.5f > EpsBudget %v", name, p, seed, xs[i], e, budget)
+					}
+				}
+			}
+			t.Logf("%s P=%d: worst normalized rank error over %d seeds %.5f (EpsBudget %v)", name, p, seeds, worst, eps)
 		}
 	}
 }
