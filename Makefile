@@ -70,6 +70,7 @@ stress-smoke:
 	/tmp/sq_quantstress -algo kll -bits 14 -ops $(STRESS_OPS) -dist zipf -reshard 6,3 -retarget-eps 0.02 -ckpt-dir /tmp/sq_stress_ck -ckpt-every 20000 -faults -verify-every 30000 -slo-drain-max $(STRESS_DRAIN_MAX) -slo-checkpoint-max $(STRESS_CKPT_MAX)
 	/tmp/sq_quantstress -algo mrl99 -bits 14 -ops $(STRESS_OPS) -dist uniform -reshard 6 -verify-every 30000 -slo-drain-max $(STRESS_DRAIN_MAX)
 	/tmp/sq_quantstress -algo dcs -bits 12 -ops $(STRESS_OPS) -dist ooo -reshard 5,2 -verify-every 30000 -slo-drain-max $(STRESS_DRAIN_MAX)
+	/tmp/sq_quantstress -algo dcs -bits 20 -ops $(STRESS_OPS) -dist zipf -reshard 5,2 -verify-every 30000 -slo-drain-max $(STRESS_DRAIN_MAX)
 	rm -rf /tmp/sq_stress_ck
 	$(GO) run -race ./cmd/quantstress -algo gkarray -bits 14 -ops 30000 -dist zipf -reshard 5 -retarget-eps 0.02
 	$(GO) test -race -count=1 -run 'TestShortSoak|TestKillNineResume' ./cmd/quantstress/

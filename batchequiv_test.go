@@ -3,10 +3,12 @@ package streamquantiles
 import (
 	"bytes"
 	"encoding"
+	"fmt"
 	"sort"
 	"testing"
 
 	"streamquantiles/internal/core"
+	"streamquantiles/internal/streamgen"
 )
 
 // Batch-equivalence properties: for every registered summary, feeding a
@@ -103,6 +105,12 @@ func TestUpdateBatchByteIdentical(t *testing.T) {
 // TestInsertDeleteBatchByteIdentical: the dyadic sketches are linear,
 // so batched insertion and deletion must land on exactly the per-item
 // counters — including a delete phase that removes every third element.
+// batchTestData never repeats a value, but a batch with repeats takes
+// the coalesced path, which adds each distinct dyadic interval once with
+// a summed weight. So each sketch also takes skewed, constant and
+// sorted-run streams and the universe's end points, at batch lengths on
+// either side of the 4096-element chunk, with each odd batch followed by
+// the deletion of the batch before it.
 func TestInsertDeleteBatchByteIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -117,6 +125,23 @@ func TestInsertDeleteBatchByteIdentical(t *testing.T) {
 	for i := 0; i < len(data); i += 3 {
 		dels = append(dels, data[i])
 	}
+	const top = 1<<16 - 1
+	n := 2*(3*4096+5) + 11
+	equal, runs, ends := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i := range equal {
+		equal[i] = top
+		runs[i] = uint64(i / 100)
+		ends[i] = top * uint64(i/3%2)
+	}
+	inputs := []struct {
+		name string
+		data []uint64
+	}{
+		{"zipf", streamgen.Generate(streamgen.Zipf{Bits: 16, S: 1.1, Seed: 3}, n)},
+		{"equal", equal},
+		{"runs", runs},
+		{"ends", ends},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, got := tc.fresh(), tc.fresh()
@@ -129,21 +154,51 @@ func TestInsertDeleteBatchByteIdentical(t *testing.T) {
 			gb := got.(BatchTurnstile)
 			feedBatches(gb.InsertBatch, data)
 			feedBatches(gb.DeleteBatch, dels)
-			if err := CheckInvariants(got); err != nil {
-				t.Fatalf("invariants after batch insert/delete: %v", err)
-			}
-			refB, err := ref.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotB, err := got.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(refB, gotB) {
-				t.Fatal("batched turnstile state differs from per-item state")
+			sameBytes(t, ref, got)
+			for _, in := range inputs {
+				for _, m := range []int{1, 4095, 4096, 4097, 3*4096 + 5} {
+					t.Run(fmt.Sprintf("%s/%d", in.name, m), func(t *testing.T) {
+						ref, got := tc.fresh(), tc.fresh()
+						gb := got.(BatchTurnstile)
+						for b, i := 0, 0; i < n; b, i = b+1, i+m {
+							batch := in.data[i:min(i+m, n)]
+							for _, x := range batch {
+								ref.Insert(x)
+							}
+							gb.InsertBatch(batch)
+							if b%2 == 1 {
+								prev := in.data[i-m : i]
+								for _, x := range prev {
+									ref.Delete(x)
+								}
+								gb.DeleteBatch(prev)
+							}
+						}
+						sameBytes(t, ref, got)
+					})
+				}
 			}
 		})
+	}
+}
+
+// sameBytes fails t unless got passes its invariants and marshals to
+// ref's bytes.
+func sameBytes(t *testing.T, ref, got turnCodec) {
+	t.Helper()
+	if err := CheckInvariants(got); err != nil {
+		t.Fatalf("invariants after batch insert/delete: %v", err)
+	}
+	refB, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refB, gotB) {
+		t.Fatal("batched turnstile state differs from per-item state")
 	}
 }
 

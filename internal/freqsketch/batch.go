@@ -216,55 +216,30 @@ func bucketRows(hashes []*xhash.Bucket, rows [][]int64, vs []uint64, delta int64
 	}
 }
 
-// hashSliceFallback covers non-degree-4 bucket polynomials (not built
+// signedRows is bucketRows' Count-Sketch counterpart.
+func signedRows(polys []*xhash.Poly, rows [][]int64, w, rec uint64, vs []uint64, delta int64) {
+	d := len(polys)
+	i := 0
+	for ; i+1 < d; i += 2 {
+		if !addPairSigned(polys[i], polys[i+1], rows[i], rows[i+1], w, rec, vs, delta) {
+			signedFallback(polys[i], rows[i], w, rec, vs, delta)
+			signedFallback(polys[i+1], rows[i+1], w, rec, vs, delta)
+		}
+	}
+	if i < d {
+		if !addOneSigned(polys[i], rows[i], w, rec, vs, delta) {
+			signedFallback(polys[i], rows[i], w, rec, vs, delta)
+		}
+	}
+}
+
+// hashSliceFallback covers non-degree-2 bucket polynomials (not built
 // by the sketch constructors, but kept for robustness): per-element
 // Hash on the already-reduced values — mod61 is idempotent, so the
 // buckets match the fused kernels'.
 func hashSliceFallback(h *xhash.Bucket, row []int64, vs []uint64, delta int64) {
 	for _, v := range vs {
 		row[h.Hash(v)] += delta
-	}
-}
-
-// AddBatch implements Sketch.
-func (cm *CountMin) AddBatch(xs []uint64, delta int64) {
-	var vbuf [batchChunk]uint64
-	for len(xs) > 0 {
-		m := len(xs)
-		if m > batchChunk {
-			m = batchChunk
-		}
-		reduceVals(vbuf[:m], xs[:m])
-		bucketRows(cm.hashes, cm.rows, vbuf[:m], delta)
-		xs = xs[m:]
-	}
-}
-
-// AddBatch implements Sketch.
-func (cs *CountSketch) AddBatch(xs []uint64, delta int64) {
-	var vbuf [batchChunk]uint64
-	w := uint64(cs.w)
-	rec := xhash.Reciprocal(w)
-	for len(xs) > 0 {
-		m := len(xs)
-		if m > batchChunk {
-			m = batchChunk
-		}
-		vs := vbuf[:m]
-		reduceVals(vs, xs[:m])
-		i := 0
-		for ; i+1 < cs.d; i += 2 {
-			if !addPairSigned(cs.polys[i], cs.polys[i+1], cs.rows[i], cs.rows[i+1], w, rec, vs, delta) {
-				signedFallback(cs.polys[i], cs.rows[i], w, rec, vs, delta)
-				signedFallback(cs.polys[i+1], cs.rows[i+1], w, rec, vs, delta)
-			}
-		}
-		if i < cs.d {
-			if !addOneSigned(cs.polys[i], cs.rows[i], w, rec, vs, delta) {
-				signedFallback(cs.polys[i], cs.rows[i], w, rec, vs, delta)
-			}
-		}
-		xs = xs[m:]
 	}
 }
 
@@ -276,16 +251,37 @@ func signedFallback(p *xhash.Poly, row []int64, w, rec uint64, vs []uint64, delt
 	}
 }
 
-// AddBatch implements Sketch.
-func (r *RSS) AddBatch(xs []uint64, delta int64) {
+// bucketBatch is AddBatch for the bucket-hashed sketches (CountMin and
+// RSS): reduce each chunk once, then scatter it into every row.
+func bucketBatch(hashes []*xhash.Bucket, rows [][]int64, xs []uint64, delta int64) {
 	var vbuf [batchChunk]uint64
 	for len(xs) > 0 {
-		m := len(xs)
-		if m > batchChunk {
-			m = batchChunk
-		}
+		m := min(len(xs), batchChunk)
 		reduceVals(vbuf[:m], xs[:m])
-		bucketRows(r.hashes, r.rows, vbuf[:m], delta)
+		bucketRows(hashes, rows, vbuf[:m], delta)
 		xs = xs[m:]
 	}
+}
+
+// AddBatch implements Sketch.
+func (cm *CountMin) AddBatch(xs []uint64, delta int64) {
+	bucketBatch(cm.hashes, cm.rows, xs, delta)
+}
+
+// AddBatch implements Sketch.
+func (cs *CountSketch) AddBatch(xs []uint64, delta int64) {
+	var vbuf [batchChunk]uint64
+	w := uint64(cs.w)
+	rec := xhash.Reciprocal(w)
+	for len(xs) > 0 {
+		m := min(len(xs), batchChunk)
+		reduceVals(vbuf[:m], xs[:m])
+		signedRows(cs.polys, cs.rows, w, rec, vbuf[:m], delta)
+		xs = xs[m:]
+	}
+}
+
+// AddBatch implements Sketch.
+func (r *RSS) AddBatch(xs []uint64, delta int64) {
+	bucketBatch(r.hashes, r.rows, xs, delta)
 }

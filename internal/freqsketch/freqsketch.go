@@ -27,6 +27,10 @@ type Sketch interface {
 	// hash coefficients load once per chunk and its counter scatter
 	// stays within one row at a time (see batch.go).
 	AddBatch(xs []uint64, delta int64)
+	// AddWeighted adds ws[i] to the frequency of xs[i] for every i
+	// (len(ws) must equal len(xs)), equivalent to calling Add per pair
+	// (see weighted.go).
+	AddWeighted(xs []uint64, ws []int64)
 	// Estimate returns the estimated current frequency of x.
 	Estimate(x uint64) int64
 	// EstimateBatch writes the estimated frequency of every element of

@@ -247,40 +247,13 @@ func gallop(s []uint64, from int, key uint64) int {
 // for one drain, shared by every digest.
 var radixPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-// sortBuf sorts pending values in place with an LSD radix sort, 8-bit
-// digits over the universe's bits; a pass whose digit never varies
-// moves nothing.
+// sortBuf sorts pending values in place (core.RadixSort over the
+// universe's bits).
 func (d *Digest) sortBuf(xs []uint64) {
-	if len(xs) < 2 {
-		return
-	}
 	tmp := radixPool.Get().(*[]uint64)
 	defer radixPool.Put(tmp)
 	*tmp = slices.Grow((*tmp)[:0], len(xs))[:len(xs)]
-	src, dst := xs, *tmp
-	var count [256]int
-	for shift := 0; shift < d.bits; shift += 8 {
-		clear(count[:])
-		for _, x := range src {
-			count[x>>shift&0xff]++
-		}
-		if count[src[0]>>shift&0xff] == len(src) {
-			continue
-		}
-		sum := 0
-		for i, c := range count {
-			count[i], sum = sum, sum+c
-		}
-		for _, x := range src {
-			k := x >> shift & 0xff
-			dst[count[k]] = x
-			count[k]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
-	}
+	core.RadixSort(xs, *tmp, d.bits)
 }
 
 // settle folds the side run into the leaf tail of the columns: a merge
