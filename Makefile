@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build test race lint lint-strict check crash stress-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel parallel-smoke bench-checkpoint checkpoint-smoke bench-compare experiments report html clean
+.PHONY: all verify build test race lint lint-strict check crash stress-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel bench-checkpoint ingest-smoke query-smoke parallel-smoke checkpoint-smoke bench-compare experiments report html clean
 
 all: build test lint
 
@@ -84,93 +84,53 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Ingestion throughput: per-item vs batched updates for every summary,
-# and sharded scaling at P=1,2,4,8. Writes the committed baseline from
-# the conservative merge of several passes (fastest item-at-a-time rate,
-# slowest batch rate — so the recorded speedups lower-bound a typical
-# run); CI re-measures at reduced n and compares batch speedups against
-# it.
-INGEST_N ?= 2000000
-INGEST_RUNS ?= 3
-bench-ingest:
-	$(GO) run ./cmd/quantbench -ingest -n $(INGEST_N) -ingest-runs $(INGEST_RUNS) -ingest-out BENCH_ingest.json
+# Baselines and gates (cmd/quantbench -bench / -compare). Each path —
+# ingest, query, parallel, checkpoint — writes one schema of rows, each
+# the ratio of a reference and a measured timing taken in interleaved
+# trials: batch/snapshot/fold-cache speedups, and scaling efficiency
+# rate(p) / (rate(1) x min(p, GOMAXPROCS)). Every measuring command pins
+# -cpus 2, the GOMAXPROCS the committed BENCH_*.json were recorded at:
+# -compare refuses a run at another value, because efficiency at 1 core
+# measures fan-out overhead and at 2 real scaling.
+QUANTBENCH = $(GO) run ./cmd/quantbench
 
-# Query-path throughput: per-phi vs single-pass batched vs
-# snapshot-cached quantile extraction for every summary, plus the
-# sharded fold cache. Writes the committed baseline from the
-# conservative merge of several passes (so CI's single pass clears the
-# 25%-tolerance floors even on noisy runners); CI re-measures at the
-# same n — cached speedups grow with n — and compares the ratios.
-QUERY_N ?= 2000000
-QUERY_RUNS ?= 3
-bench-query:
-	$(GO) run ./cmd/quantbench -query -n $(QUERY_N) -query-runs $(QUERY_RUNS) -query-out BENCH_query.json
-
-# Multi-core write-path scaling: W writer goroutines, each with its own
-# AcquireWriter handle, feed a W-shard container element-at-a-time at
-# W = 1, 2, 4 and NumCPU. The committed baseline merges several passes
-# conservatively (fastest 1-writer rate, slowest multi-writer rate) so
-# its efficiency floors lower-bound a typical run; the compare gates on
-# scaling efficiency — rate(W) / (rate(1) x min(W, GOMAXPROCS)) — which
-# is machine-portable where absolute Melem/s is not.
-PARALLEL_N ?= 2000000
-PARALLEL_RUNS ?= 3
-bench-parallel:
-	$(GO) run ./cmd/quantbench -parallel -n $(PARALLEL_N) -parallel-runs $(PARALLEL_RUNS) -parallel-out BENCH_parallel.json
-
-# Scaling-efficiency smoke (part of `make verify`): one reduced-n
-# parallel pass compared against the committed BENCH_parallel.json at
-# the default 25% tolerance. Efficiency is normalized to the measuring
-# machine's cores, so the same committed baseline gates a 1-core
-# container (pure handle overhead) and a 4-core runner (where a 0.75
-# floor at W=4 demands >= 3x the 1-writer throughput).
-PARALLEL_SMOKE_N ?= 500000
-parallel-smoke:
-	$(GO) run ./cmd/quantbench -parallel -n $(PARALLEL_SMOKE_N) -parallel-out /tmp/sq_parallel_ci.json
-	$(GO) run ./cmd/quantbench -parallel-compare BENCH_parallel.json /tmp/sq_parallel_ci.json
-
-# Durability-path scaling: save (per-shard fan-out marshal + framed
-# write) and recover (pipelined CRC verify + fan-out decode) of a
-# 64-shard container, swept over worker counts P = 1/4/16/64. The
-# committed baseline merges several passes conservatively (fastest
-# sequential rate, slowest fan-out rate) and the compare gates on
-# scaling efficiency — rate(P) / (rate(1) x min(P, GOMAXPROCS)) — the
-# same machine-portable normalization as bench-parallel.
-CHECKPOINT_N ?= 2000000
-CHECKPOINT_RUNS ?= 3
-bench-checkpoint:
-	$(GO) run ./cmd/quantbench -checkpoint -n $(CHECKPOINT_N) -checkpoint-runs $(CHECKPOINT_RUNS) -checkpoint-out BENCH_checkpoint.json
-
-# Checkpoint fan-out smoke (part of `make verify`): one reduced-n
-# save/recover sweep compared against the committed
-# BENCH_checkpoint.json at the default 25% tolerance. On a 1-core
-# container every efficiency measures pure fan-out overhead; on a
-# 4-core runner the baseline's 0.86-class floors at P = 64 demand
-# roughly 3x the sequential save and recover rate.
-CHECKPOINT_SMOKE_N ?= 500000
-checkpoint-smoke:
-	$(GO) run ./cmd/quantbench -checkpoint -n $(CHECKPOINT_SMOKE_N) -checkpoint-out /tmp/sq_checkpoint_ci.json
-	$(GO) run ./cmd/quantbench -checkpoint-compare BENCH_checkpoint.json /tmp/sq_checkpoint_ci.json
+# Record a committed baseline from the conservative merge of several
+# passes (per row, the run with the lowest ratio), so its ratios
+# lower-bound a typical run and the compare tolerance absorbs
+# machine noise rather than stacking on a lucky baseline. If a gated
+# row flakes, re-record it with more BENCH_RUNS; never raise -tol.
+BENCH_N ?= 2000000
+BENCH_RUNS ?= 3
+bench-ingest bench-query bench-parallel bench-checkpoint: bench-%:
+	$(QUANTBENCH) -bench $* -cpus 2 -n $(BENCH_N) -runs $(BENCH_RUNS) -out BENCH_$*.json
+# Over ten gate runs against three-run baselines, ingest's dcs batch row
+# and query's gkbiased cached row came within 2% of their floors; over
+# ten against a six-run ingest baseline, the sharded dcs P = 8 row
+# failed once.
+bench-query: BENCH_RUNS = 6
+bench-ingest: BENCH_RUNS = 10
 
 # Refresh the committed baselines in one go.
 bench-baselines: bench-ingest bench-query bench-parallel bench-checkpoint
 
-# Regression gate: re-measure one pass of each path at a reduced n and
-# compare the speedup ratios against the committed baselines under the
-# default 25% tolerance (absolute rates vary with machine and n; the
-# ratios are what the batch/snapshot work promises). bench-all is the
-# one-command local mirror of CI's two benchmark gates.
+# Per-path gates: one pass of a path, compared against its committed
+# baseline at the default 25% tolerance. Each (path, summary) gates its
+# widest-p row. parallel-smoke and checkpoint-smoke are part of
+# `make verify`. Ingest and the fan-out sweeps run at reduced n; query
+# runs at the baseline's n, because the cached speedup grows with n by
+# design (per-φ cost is O(s), a cached hit O(log s)).
+SMOKE_N ?= 500000
+ingest-smoke query-smoke parallel-smoke checkpoint-smoke: %-smoke:
+	$(QUANTBENCH) -bench $* -cpus 2 -n $(SMOKE_N) -out /tmp/sq_$*_ci.json
+	$(QUANTBENCH) -compare BENCH_$*.json /tmp/sq_$*_ci.json
+query-smoke: SMOKE_N = $(BENCH_N)
+
+# Regression gate over every path (absolute rates vary with machine and
+# n; the ratios are what the batch, snapshot and fan-out work
+# promises). bench-all is the one-command local mirror of CI's
+# benchmark job.
 bench-all: bench-compare
-COMPARE_N ?= 500000
-bench-compare:
-	$(GO) run ./cmd/quantbench -ingest -n $(COMPARE_N) -ingest-out /tmp/sq_ingest_ci.json
-	$(GO) run ./cmd/quantbench -ingest-compare BENCH_ingest.json /tmp/sq_ingest_ci.json
-	$(GO) run ./cmd/quantbench -query -n $(COMPARE_N) -query-out /tmp/sq_query_ci.json
-	$(GO) run ./cmd/quantbench -query-compare BENCH_query.json /tmp/sq_query_ci.json
-	$(GO) run ./cmd/quantbench -parallel -n $(COMPARE_N) -parallel-out /tmp/sq_parallel_ci.json
-	$(GO) run ./cmd/quantbench -parallel-compare BENCH_parallel.json /tmp/sq_parallel_ci.json
-	$(GO) run ./cmd/quantbench -checkpoint -n $(COMPARE_N) -checkpoint-out /tmp/sq_checkpoint_ci.json
-	$(GO) run ./cmd/quantbench -checkpoint-compare BENCH_checkpoint.json /tmp/sq_checkpoint_ci.json
+bench-compare: ingest-smoke query-smoke parallel-smoke checkpoint-smoke
 
 # Regenerate EXPERIMENTS.md (several minutes at the default n).
 experiments:

@@ -183,8 +183,8 @@ func BenchmarkInsertBatchDRSS(b *testing.B) {
 }
 
 // BenchmarkShardedUpdateBatch measures the sharded write path itself
-// (single goroutine — scaling across writers is cmd/quantbench -ingest
-// territory).
+// (single goroutine — scaling across writers is
+// cmd/quantbench -bench ingest territory).
 func BenchmarkShardedUpdateBatch(b *testing.B) {
 	s := mustShardedCash(b, 4, func() CashRegister { return NewGKArray(0.001) })
 	benchUpdatesBatch(b, s)
@@ -193,9 +193,8 @@ func BenchmarkShardedUpdateBatch(b *testing.B) {
 // BenchmarkParallelIngest drives W concurrent writer handles into a
 // W-shard container (one affinity shard per writer) for the buffered
 // mergeable families — the multi-core scaling the sharded layer exists
-// for. On a ≥4-core runner the writers=4 case should sustain ≥3x the
-// writers=1 throughput; cmd/quantbench -parallel measures and gates the
-// same shape against BENCH_parallel.json.
+// for. cmd/quantbench -bench parallel measures the same shape as
+// scaling efficiency and gates it against BENCH_parallel.json.
 func BenchmarkParallelIngest(b *testing.B) {
 	families := []struct {
 		name  string

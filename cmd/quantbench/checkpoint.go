@@ -1,73 +1,30 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"time"
-
 	"streamquantiles/internal/checkpoint"
 	"streamquantiles/internal/core"
 	"streamquantiles/internal/faultio"
 	"streamquantiles/internal/gk"
 	"streamquantiles/internal/kll"
 	"streamquantiles/internal/sharded"
-	"streamquantiles/internal/streamgen"
 )
 
-// The checkpoint mode measures the durability path: how fast a sharded
-// container saves (per-shard fan-out marshal + framed write) and
-// recovers (pipelined frame verification + fan-out decode), swept over
-// worker counts P = 1/4/16/64 at a fixed 64-shard topology. Results
-// land in BENCH_checkpoint.json; -checkpoint-compare gates on *scaling
-// efficiency*, the same machine-portable normalization as
-// -parallel-compare:
-//
-//	efficiency(P) = rate(P) / (rate(1) × min(P, GOMAXPROCS))
-//
-// On a 1-core runner min(P, GOMAXPROCS) = 1 and every P's efficiency
-// measures pure fan-out overhead (should stay ≈ 1.0 — the pool runs
-// inline); on a 4-core runner an efficiency floor of 0.75 at P ≥ 4
-// demands ≥ 3x the sequential save and recover rate. One committed
-// baseline therefore gates both machines. Efficiency is clamped at 1.0
-// so cache effects cannot set floors no honest machine clears.
+// The checkpoint path (BENCH_checkpoint.json) measures durability
+// scaling at a fixed 64-shard topology: the fan-out marshal alone, a
+// full save (that marshal plus the framed, checksummed write) and a full
+// recovery (candidate scan, pipelined CRC verification, fan-out decode
+// into a fresh container) with p workers against one. All run on an
+// in-memory filesystem, so the rows isolate the CPU path from device
+// speed. The marshal row is the save fan-out's own gate: the sequential
+// write dilutes a lost fan-out in the save row to about the compare
+// tolerance on two cores.
 
-// checkpointReport is the schema of BENCH_checkpoint.json.
-type checkpointReport struct {
-	N          int             `json:"n"`
-	Shards     int             `json:"shards"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"numcpu"`
-	GoVersion  string          `json:"goversion"`
-	Workload   string          `json:"workload"`
-	Rows       []checkpointRow `json:"rows"`
-}
-
-// checkpointRow is one (summary, op, worker-count) measurement. Melems
-// normalizes the wall time by the n elements the container summarizes,
-// so rates are comparable across ops and containers.
-type checkpointRow struct {
-	Name    string  `json:"name"`
-	Op      string  `json:"op"` // "save" or "recover"
-	Workers int     `json:"workers"`
-	Melems  float64 `json:"melems_per_s"`
-	// Efficiency is Melems / (rate(1) × min(Workers, GOMAXPROCS)):
-	// 1.0 is perfect scaling on this machine's cores.
-	Efficiency float64 `json:"efficiency"`
-}
-
-// checkpointWorkerCounts is the sweep the issue pins: sequential plus
-// three fan-out widths bracketing any plausible core count.
-var checkpointWorkerCounts = []int{1, 4, 16, 64}
-
-// checkpointShards is the fixed topology: enough parts that every
-// swept worker count has parallel work available.
+// checkpointShards gives every swept worker count parallel work.
 const checkpointShards = 64
 
-// checkpointCases are the container rosters: one mergeable family
-// (KLL) and one whose shrink freezes rank components (GKArray) — the
-// two shapes the fan-out dispatches.
+// checkpointCases are one mergeable family (KLL) and one whose shrink
+// freezes rank components (GKArray) — the two shapes the fan-out
+// dispatches.
 var checkpointCases = []struct {
 	name  string
 	fresh func() core.CashRegister
@@ -76,253 +33,40 @@ var checkpointCases = []struct {
 	{"gkarray", func() core.CashRegister { return gk.NewArray(0.001) }},
 }
 
-// runCheckpoint measures everything runs times, keeps the conservative
-// merge (see mergeCheckpointReports), and writes the report.
-func runCheckpoint(n, runs int, out string) {
-	if runs <= 0 {
-		runs = 1
-	}
-	rep := measureCheckpoint(n)
-	for r := 1; r < runs; r++ {
-		fmt.Fprintf(os.Stderr, "-- run %d/%d --\n", r+1, runs)
-		rep = mergeCheckpointReports(rep, measureCheckpoint(n))
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatalf("checkpoint: %v", err)
-	}
-	blob = append(blob, '\n')
-	if out == "" || out == "-" {
-		os.Stdout.Write(blob)
-		return
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		fatalf("checkpoint: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-// measureCheckpoint runs one full save/recover sweep.
-func measureCheckpoint(n int) checkpointReport {
-	if n <= 0 {
-		n = 2_000_000
-	}
-	gen := streamgen.Uniform{Bits: 24, Seed: 1}
-	data := streamgen.Generate(gen, n)
-	maxprocs := runtime.GOMAXPROCS(0)
-	rep := checkpointReport{
-		N:          n,
-		Shards:     checkpointShards,
-		GOMAXPROCS: maxprocs,
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Workload:   gen.Name(),
-	}
+func measureCheckpoint(m *meter, data []uint64) {
+	ps := []int{4, 16, 64}
 	for _, tc := range checkpointCases {
 		s, err := sharded.NewCashRegister(checkpointShards, tc.fresh)
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		const batch = 4096
-		for lo := 0; lo < len(data); lo += batch {
-			hi := min(lo+batch, len(data))
-			s.UpdateBatch(data[lo:hi])
-		}
+		check(err)
+		forBatches(data, s.UpdateBatch)
+
+		m.sweep("checkpoint/marshal", tc.name, ps, func(p int) {
+			_, err := s.MarshalBinaryWorkers(p)
+			check(err)
+		})
+
+		saves, err := checkpoint.Open("/bench", checkpoint.WithFS(faultio.NewMemFS()))
+		check(err)
+		m.sweep("checkpoint/save", tc.name, ps, func(p int) {
+			blob, err := s.MarshalBinaryWorkers(p)
+			check(err)
+			_, err = saves.Save("bench", blob)
+			check(err)
+		})
+
+		mem := faultio.NewMemFS()
+		ck, err := checkpoint.Open("/bench", checkpoint.WithFS(mem))
+		check(err)
 		payload, err := s.MarshalBinaryWorkers(1)
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-
-		var saveBase, recBase float64
-		for _, w := range checkpointWorkerCounts {
-			saveRate := melems(n, measureSave(s, w))
-			recRate := melems(n, measureRecover(tc.fresh, payload, w))
-			if w == 1 {
-				saveBase, recBase = saveRate, recRate
-			}
-			cores := min(float64(w), float64(maxprocs))
-			saveEff, recEff := 1.0, 1.0
-			if saveBase > 0 && cores > 0 {
-				saveEff = min(saveRate/(saveBase*cores), 1.0)
-			}
-			if recBase > 0 && cores > 0 {
-				recEff = min(recRate/(recBase*cores), 1.0)
-			}
-			rep.Rows = append(rep.Rows,
-				checkpointRow{Name: tc.name, Op: "save", Workers: w, Melems: saveRate, Efficiency: saveEff},
-				checkpointRow{Name: tc.name, Op: "recover", Workers: w, Melems: recRate, Efficiency: recEff})
-			fmt.Fprintf(os.Stderr, "%-10s P=%-3d save %8.2f Melem/s (eff %.2f)   recover %8.2f Melem/s (eff %.2f)\n",
-				tc.name, w, saveRate, saveEff, recRate, recEff)
-		}
+		check(err)
+		_, err = ck.Save("bench", payload)
+		check(err)
+		m.sweep("checkpoint/recover", tc.name, ps, func(p int) {
+			target, err := sharded.NewCashRegister(1, tc.fresh)
+			check(err)
+			blob, _, err := checkpoint.Recover(mem, "/bench", nil)
+			check(err)
+			check(target.UnmarshalBinaryWorkers(blob, p))
+		})
 	}
-	return rep
-}
-
-// measureSave times one full durable save — fan-out marshal plus the
-// framed, checksummed write — into an in-memory filesystem, so the
-// measurement isolates the CPU path from device speed. Fastest of
-// four — a single save is milliseconds, so extra trials are cheap and
-// damp GC noise.
-func measureSave(s *sharded.CashRegister, workers int) time.Duration {
-	var best time.Duration
-	for r := 0; r < 4; r++ {
-		ck, err := checkpoint.Open("/bench", checkpoint.WithFS(faultio.NewMemFS()))
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		start := time.Now()
-		blob, err := s.MarshalBinaryWorkers(workers)
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		if _, err := ck.Save("bench", blob); err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		if el := time.Since(start); r == 0 || el < best {
-			best = el
-		}
-	}
-	return best
-}
-
-// measureRecover times one full recovery — candidate scan, pipelined
-// CRC verification, fan-out decode into a fresh container. Fastest of
-// four.
-func measureRecover(fresh func() core.CashRegister, payload []byte, workers int) time.Duration {
-	mem := faultio.NewMemFS()
-	ck, err := checkpoint.Open("/bench", checkpoint.WithFS(mem))
-	if err != nil {
-		fatalf("checkpoint: %v", err)
-	}
-	if _, err := ck.Save("bench", payload); err != nil {
-		fatalf("checkpoint: %v", err)
-	}
-	var best time.Duration
-	for r := 0; r < 4; r++ {
-		target, err := sharded.NewCashRegister(1, fresh)
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		start := time.Now()
-		got, _, err := checkpoint.Recover(mem, "/bench", nil)
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		if err := target.UnmarshalBinaryWorkers(got, workers); err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		if el := time.Since(start); r == 0 || el < best {
-			best = el
-		}
-	}
-	return best
-}
-
-// mergeCheckpointReports folds run b into a conservatively: per
-// (name, op, workers) row it keeps the *fastest* sequential rate and
-// the *slowest* fan-out rate, then recomputes efficiency from the
-// merged rows — the merged efficiency lower-bounds every individual
-// run's, so the committed baseline sets floors a typical CI run clears.
-func mergeCheckpointReports(a, b checkpointReport) checkpointReport {
-	type key struct {
-		name, op string
-		w        int
-	}
-	bBy := map[key]checkpointRow{}
-	for _, r := range b.Rows {
-		bBy[key{r.Name, r.Op, r.Workers}] = r
-	}
-	base := map[[2]string]float64{}
-	for i, r := range a.Rows {
-		if o, ok := bBy[key{r.Name, r.Op, r.Workers}]; ok {
-			if r.Workers == 1 {
-				r.Melems = max(r.Melems, o.Melems)
-			} else {
-				r.Melems = min(r.Melems, o.Melems)
-			}
-		}
-		if r.Workers == 1 {
-			base[[2]string{r.Name, r.Op}] = r.Melems
-		}
-		if p1 := base[[2]string{r.Name, r.Op}]; p1 > 0 {
-			cores := min(float64(r.Workers), float64(a.GOMAXPROCS))
-			r.Efficiency = min(r.Melems/(p1*cores), 1.0)
-		}
-		a.Rows[i] = r
-	}
-	return a
-}
-
-// runCheckpointCompare fails (exit 1) when any (summary, op)'s scaling
-// efficiency at the highest measured worker count regressed more than
-// tolFrac below the baseline's. Efficiency is normalized to the
-// measuring machine's cores, so the committed baseline gates 1-core
-// and many-core runners alike.
-func runCheckpointCompare(oldPath, newPath string, tolFrac float64) {
-	oldRep, err := readCheckpoint(oldPath)
-	if err != nil {
-		fatalf("checkpoint-compare: %v", err)
-	}
-	newRep, err := readCheckpoint(newPath)
-	if err != nil {
-		fatalf("checkpoint-compare: %v", err)
-	}
-	failed := false
-	for _, k := range checkpointKeys(newRep) {
-		eff, w := checkpointEffAt(newRep, k[0], k[1])
-		oldEff, oldW := checkpointEffAt(oldRep, k[0], k[1])
-		if oldW == 0 {
-			fmt.Printf("%-10s %-8s NEW      efficiency %.2f at %d workers (no baseline)\n", k[0], k[1], eff, w)
-			continue
-		}
-		limit := oldEff * (1 - tolFrac)
-		status := "ok"
-		if eff < limit {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-10s %-8s %-9s efficiency %.2f at %d workers vs baseline %.2f (floor %.2f)\n",
-			k[0], k[1], status, eff, w, oldEff, limit)
-	}
-	if failed {
-		fatalf("checkpoint-compare: save/recover scaling efficiency regressed more than %.0f%%", tolFrac*100)
-	}
-}
-
-// checkpointKeys lists the distinct (name, op) pairs in report order.
-func checkpointKeys(rep *checkpointReport) [][2]string {
-	seen := map[[2]string]bool{}
-	var keys [][2]string
-	for _, r := range rep.Rows {
-		k := [2]string{r.Name, r.Op}
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// checkpointEffAt returns (name, op)'s efficiency at its highest
-// measured worker count; workers 0 means the pair is absent.
-func checkpointEffAt(rep *checkpointReport, name, op string) (eff float64, workers int) {
-	for _, r := range rep.Rows {
-		if r.Name == name && r.Op == op && r.Workers >= workers {
-			eff, workers = r.Efficiency, r.Workers
-		}
-	}
-	return eff, workers
-}
-
-func readCheckpoint(path string) (*checkpointReport, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep checkpointReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }

@@ -1,12 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"sync"
-	"time"
 
 	"streamquantiles/internal/core"
 	"streamquantiles/internal/dyadic"
@@ -16,47 +11,15 @@ import (
 	"streamquantiles/internal/qdigest"
 	"streamquantiles/internal/randalg"
 	"streamquantiles/internal/sharded"
-	"streamquantiles/internal/streamgen"
 )
 
-// The ingest mode measures what the batched fast paths and the sharded
-// writer buy on this machine: single-thread batched-vs-per-item
-// throughput for every summary, and aggregate sharded throughput at
-// P ∈ {1, 2, 4, 8} with P writer goroutines. Results land in a JSON
-// report (BENCH_ingest.json at the repo root is the committed
-// baseline); -ingest-compare checks a fresh report against a baseline
-// using only machine-portable ratios (batch speedups), never absolute
-// element rates.
+// The ingest path (BENCH_ingest.json) measures what the batched fast
+// paths and the sharded writer buy: per summary, item-at-a-time against
+// batched updates ("ingest/batch"), and aggregate sharded throughput of
+// p batched writer goroutines against one ("ingest/sharded").
 
-// ingestReport is the schema of BENCH_ingest.json.
-type ingestReport struct {
-	N          int             `json:"n"`
-	Batch      int             `json:"batch"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"numcpu"`
-	GoVersion  string          `json:"goversion"`
-	Workload   string          `json:"workload"`
-	Summaries  []ingestSummary `json:"summaries"`
-	Sharded    []ingestSharded `json:"sharded"`
-}
-
-// ingestSummary is one summary's single-thread measurement.
-type ingestSummary struct {
-	Name       string  `json:"name"`
-	ItemMelems float64 `json:"item_melems_per_s"`
-	BatchMelem float64 `json:"batch_melems_per_s"`
-	Speedup    float64 `json:"batch_speedup"`
-}
-
-// ingestSharded is one (summary, P) aggregate-throughput measurement
-// with P concurrent batched writers.
-type ingestSharded struct {
-	Name    string  `json:"name"`
-	Shards  int     `json:"p"`
-	Writers int     `json:"writers"`
-	Melems  float64 `json:"melems_per_s"`
-	Scaling float64 `json:"scaling_vs_p1"`
-}
+// ingestBatch is the batch length of every batched write.
+const ingestBatch = 4096
 
 // ingestCash is the cash-register bench roster: every summary with a
 // native batch path plus its configuration.
@@ -85,211 +48,59 @@ var ingestTurn = []struct {
 	{"drss", func() core.Turnstile { return dyadic.New(dyadic.DRSS, 0.005, 24, dyadic.Config{Seed: 7}) }},
 }
 
-// runIngest measures everything runs times, keeps the conservative
-// merge (see mergeIngestReports), and writes the report. CI runs once;
-// the committed baseline uses several runs so its ratios lower-bound a
-// typical run and the compare tolerance absorbs machine noise instead
-// of stacking on top of a lucky baseline.
-func runIngest(n, batch, runs int, out string) {
-	if runs <= 0 {
-		runs = 1
-	}
-	rep := measureIngest(n, batch)
-	for r := 1; r < runs; r++ {
-		fmt.Fprintf(os.Stderr, "-- run %d/%d --\n", r+1, runs)
-		rep = mergeIngestReports(rep, measureIngest(n, batch))
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatalf("ingest: %v", err)
-	}
-	blob = append(blob, '\n')
-	if out == "" || out == "-" {
-		os.Stdout.Write(blob)
-		return
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		fatalf("ingest: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-// measureIngest runs one full measurement pass.
-func measureIngest(n, batch int) ingestReport {
-	if n <= 0 {
-		n = 2_000_000
-	}
-	if batch <= 0 {
-		batch = 4096
-	}
-	gen := streamgen.Uniform{Bits: 24, Seed: 1}
-	data := streamgen.Generate(gen, n)
-	rep := ingestReport{
-		N:          n,
-		Batch:      batch,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Workload:   gen.Name(),
-	}
-
+func measureIngest(m *meter, data []uint64) {
 	for _, tc := range ingestCash {
-		item := measure(func() {
-			s := tc.fresh()
-			for _, x := range data {
-				s.Update(x)
-			}
-		})
-		batched := measure(func() {
-			s := tc.fresh()
-			forBatches(data, batch, s.(core.BatchCashRegister).UpdateBatch)
-		})
-		rep.Summaries = append(rep.Summaries, summaryRow(tc.name, n, item, batched))
-		fmt.Fprintf(os.Stderr, "%-12s item %8.2f Melem/s   batch %8.2f Melem/s   %.2fx\n",
-			tc.name, melems(n, item), melems(n, batched), item.Seconds()/batched.Seconds())
+		m.speedup("ingest/batch", tc.name, 1,
+			func() {
+				s := tc.fresh()
+				for _, x := range data {
+					s.Update(x)
+				}
+			},
+			func() { forBatches(data, tc.fresh().(core.BatchCashRegister).UpdateBatch) })
 	}
 	for _, tc := range ingestTurn {
-		item := measure(func() {
-			s := tc.fresh()
-			for _, x := range data {
-				s.Insert(x)
-			}
+		m.speedup("ingest/batch", tc.name, 1,
+			func() {
+				s := tc.fresh()
+				for _, x := range data {
+					s.Insert(x)
+				}
+			},
+			func() { forBatches(data, tc.fresh().(core.BatchTurnstile).InsertBatch) })
+	}
+
+	// Sharded scaling: p writer goroutines each batch their slice of the
+	// stream into a p-shard container. GKArray stands in for the
+	// cash-register families, DCS (the study's recommended turnstile
+	// summary) for the dyadic ones.
+	ps := []int{2, 4, 8}
+	m.sweep("ingest/sharded", "gkarray", ps, func(p int) {
+		s, err := sharded.NewCashRegister(p, func() core.CashRegister { return gk.NewArray(0.001) })
+		check(err)
+		inParallel(data, p, func(part []uint64) { forBatches(part, s.UpdateBatch) })
+	})
+	m.sweep("ingest/sharded", "dcs", ps, func(p int) {
+		s, err := sharded.NewTurnstile(p, func() core.Turnstile {
+			return dyadic.New(dyadic.DCS, 0.005, 24, dyadic.Config{Seed: 7})
 		})
-		batched := measure(func() {
-			s := tc.fresh()
-			forBatches(data, batch, s.(core.BatchTurnstile).InsertBatch)
-		})
-		rep.Summaries = append(rep.Summaries, summaryRow(tc.name, n, item, batched))
-		fmt.Fprintf(os.Stderr, "%-12s item %8.2f Melem/s   batch %8.2f Melem/s   %.2fx\n",
-			tc.name, melems(n, item), melems(n, batched), item.Seconds()/batched.Seconds())
-	}
-
-	// Sharded scaling: P writer goroutines each feeding their slice of
-	// the stream in batches. GKArray stands in for the cash-register
-	// families, DCS (the study's recommended turnstile summary) for the
-	// dyadic ones. Scaling beyond 1 requires cores: on a single-CPU
-	// machine (see gomaxprocs in the report) P>1 only measures that the
-	// lock split adds no slowdown.
-	for _, tc := range []struct {
-		name string
-		run  func(p int) time.Duration
-	}{
-		{"sharded/gkarray", func(p int) time.Duration {
-			s, err := sharded.NewCashRegister(p, func() core.CashRegister { return gk.NewArray(0.001) })
-			if err != nil {
-				panic(err)
-			}
-			return measureWriters(data, p, batch, s.UpdateBatch)
-		}},
-		{"sharded/dcs", func(p int) time.Duration {
-			s, err := sharded.NewTurnstile(p, func() core.Turnstile {
-				return dyadic.New(dyadic.DCS, 0.005, 24, dyadic.Config{Seed: 7})
-			})
-			if err != nil {
-				panic(err)
-			}
-			return measureWriters(data, p, batch, s.InsertBatch)
-		}},
-	} {
-		var base float64
-		for _, p := range []int{1, 2, 4, 8} {
-			el := tc.run(p)
-			rate := melems(n, el)
-			if p == 1 {
-				base = rate
-			}
-			rep.Sharded = append(rep.Sharded, ingestSharded{
-				Name: tc.name, Shards: p, Writers: p,
-				Melems: rate, Scaling: rate / base,
-			})
-			fmt.Fprintf(os.Stderr, "%-16s P=%d  %8.2f Melem/s   %.2fx vs P=1\n", tc.name, p, rate, rate/base)
-		}
-	}
-	return rep
+		check(err)
+		inParallel(data, p, func(part []uint64) { forBatches(part, s.InsertBatch) })
+	})
 }
 
-// mergeIngestReports folds run b into a conservatively: per summary row
-// it keeps the *fastest* observed per-item rate and the *slowest*
-// observed batch rate, then recomputes the speedup from those. The
-// merged ratio lower-bounds every individual run's ratio, so a baseline
-// built from several runs sets compare floors that a typical CI run
-// clears even when one measurement lands on a throttled scheduler
-// slice. Sharded rows keep the slowest aggregate rate per (name, P) and
-// recompute scaling from the merged P=1 row — conservative in the same
-// direction.
-func mergeIngestReports(a, b ingestReport) ingestReport {
-	bBy := map[string]ingestSummary{}
-	for _, s := range b.Summaries {
-		bBy[s.Name] = s
-	}
-	for i, s := range a.Summaries {
-		o, ok := bBy[s.Name]
-		if !ok {
-			continue
-		}
-		s.ItemMelems = max(s.ItemMelems, o.ItemMelems)
-		s.BatchMelem = min(s.BatchMelem, o.BatchMelem)
-		s.Speedup = s.BatchMelem / s.ItemMelems
-		a.Summaries[i] = s
-	}
-	type shardKey struct {
-		name string
-		p    int
-	}
-	bSh := map[shardKey]ingestSharded{}
-	for _, s := range b.Sharded {
-		bSh[shardKey{s.Name, s.Shards}] = s
-	}
-	base := map[string]float64{}
-	for i, s := range a.Sharded {
-		if o, ok := bSh[shardKey{s.Name, s.Shards}]; ok {
-			s.Melems = min(s.Melems, o.Melems)
-		}
-		if s.Shards == 1 {
-			base[s.Name] = s.Melems
-		}
-		if p1 := base[s.Name]; p1 > 0 {
-			s.Scaling = s.Melems / p1
-		}
-		a.Sharded[i] = s
-	}
-	return a
-}
-
-// measure times fn, keeping the fastest of two runs. One run already
-// streams n elements, which dwarfs timer noise, but shared CI runners
-// jitter enough that one-shot ratios drift; the min of two runs is the
-// standard correction.
-func measure(fn func()) time.Duration {
-	var best time.Duration
-	for r := 0; r < 2; r++ {
-		start := time.Now()
-		fn()
-		if el := time.Since(start); r == 0 || el < best {
-			best = el
-		}
-	}
-	return best
-}
-
-// forBatches cuts data into fixed-size batches.
-func forBatches(data []uint64, batch int, fn func([]uint64)) {
-	for i := 0; i < len(data); i += batch {
-		end := i + batch
-		if end > len(data) {
-			end = len(data)
-		}
-		fn(data[i:end])
+// forBatches cuts data into ingestBatch-sized batches.
+func forBatches(data []uint64, fn func([]uint64)) {
+	for lo := 0; lo < len(data); lo += ingestBatch {
+		fn(data[lo:min(lo+ingestBatch, len(data))])
 	}
 }
 
-// measureWriters runs p goroutines, each batching its 1/p slice of data
-// into the shared sharded summary, and times until the last finishes.
-func measureWriters(data []uint64, p, batch int, fn func([]uint64)) time.Duration {
+// inParallel runs fn on p goroutines, each over its 1/p slice of data,
+// and returns when the last finishes.
+func inParallel(data []uint64, p int, fn func(part []uint64)) {
 	per := len(data) / p
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < p; w++ {
 		lo, hi := w*per, (w+1)*per
 		if w == p-1 {
@@ -298,77 +109,8 @@ func measureWriters(data []uint64, p, batch int, fn func([]uint64)) time.Duratio
 		wg.Add(1)
 		go func(part []uint64) {
 			defer wg.Done()
-			forBatches(part, batch, fn)
+			fn(part)
 		}(data[lo:hi])
 	}
 	wg.Wait()
-	return time.Since(start)
-}
-
-func summaryRow(name string, n int, item, batched time.Duration) ingestSummary {
-	return ingestSummary{
-		Name:       name,
-		ItemMelems: melems(n, item),
-		BatchMelem: melems(n, batched),
-		Speedup:    item.Seconds() / batched.Seconds(),
-	}
-}
-
-func melems(n int, el time.Duration) float64 {
-	return float64(n) / el.Seconds() / 1e6
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "quantbench: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// runIngestCompare fails (exit 1) when any batch speedup in the new
-// report regressed more than tolFrac below the baseline's. Only the
-// speedup ratios are compared — absolute Melem/s depends on the
-// machine, but "batching buys k×" is a property of the code.
-func runIngestCompare(oldPath, newPath string, tolFrac float64) {
-	oldRep, err := readIngest(oldPath)
-	if err != nil {
-		fatalf("ingest-compare: %v", err)
-	}
-	newRep, err := readIngest(newPath)
-	if err != nil {
-		fatalf("ingest-compare: %v", err)
-	}
-	oldBy := map[string]ingestSummary{}
-	for _, s := range oldRep.Summaries {
-		oldBy[s.Name] = s
-	}
-	failed := false
-	for _, s := range newRep.Summaries {
-		o, ok := oldBy[s.Name]
-		if !ok {
-			fmt.Printf("%-12s NEW      batch speedup %.2fx (no baseline)\n", s.Name, s.Speedup)
-			continue
-		}
-		limit := o.Speedup * (1 - tolFrac)
-		status := "ok"
-		if s.Speedup < limit {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-12s %-9s batch speedup %.2fx vs baseline %.2fx (floor %.2fx)\n",
-			s.Name, status, s.Speedup, o.Speedup, limit)
-	}
-	if failed {
-		fatalf("ingest-compare: batch speedup regressed more than %.0f%%", tolFrac*100)
-	}
-}
-
-func readIngest(path string) (*ingestReport, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep ingestReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }

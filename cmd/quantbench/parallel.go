@@ -1,288 +1,26 @@
 package main
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
-	"time"
+import "streamquantiles/internal/sharded"
 
-	"streamquantiles/internal/core"
-	"streamquantiles/internal/sharded"
-	"streamquantiles/internal/streamgen"
-)
-
-// The parallel mode measures multi-core write-path scaling through the
-// per-goroutine writer handles: W writers, each with its own
-// AcquireWriter handle, feed a W-shard container element-at-a-time —
-// the placement the sharded layer was built for. Results land in a
-// JSON report (BENCH_parallel.json at the repo root is the committed
-// baseline); -parallel-compare gates on *scaling efficiency*, which is
-// machine-portable where absolute Melem/s is not:
-//
-//	efficiency(W) = rate(W) / (rate(1) × min(W, GOMAXPROCS))
-//
-// Perfect scaling is 1.0 at any core count. On a single-core runner
-// min(W, GOMAXPROCS) = 1, so the efficiency of every W measures pure
-// handle overhead (should stay ≈ 1.0); on a 4-core runner an
-// efficiency floor of 0.75 at W = 4 demands ≥ 3x the 1-writer
-// throughput. One committed baseline therefore gates both machines.
-//
-// Recorded efficiency is clamped at 1.0: splitting a stream across W
-// shards makes each per-shard summary smaller, and for families with
-// superlinear compaction cost that alone can push the ratio past 1
-// even without parallelism. Left unclamped, a superlinear baseline
-// would set floors no honestly-scaling machine could clear.
-
-// parallelReport is the schema of BENCH_parallel.json.
-type parallelReport struct {
-	N          int           `json:"n"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"numcpu"`
-	GoVersion  string        `json:"goversion"`
-	Workload   string        `json:"workload"`
-	Rows       []parallelRow `json:"rows"`
-}
-
-// parallelRow is one (summary, writer-count) measurement.
-type parallelRow struct {
-	Name    string  `json:"name"`
-	Writers int     `json:"writers"`
-	Melems  float64 `json:"melems_per_s"`
-	// Efficiency is Melems / (rate(1) × min(Writers, GOMAXPROCS)):
-	// 1.0 is perfect scaling on this machine's cores.
-	Efficiency float64 `json:"efficiency"`
-}
-
-// parallelWriterCounts is the sweep: 1, 2, 4 and NumCPU, deduplicated
-// and sorted (on a 1–4 core machine NumCPU folds into the fixed tiers).
-func parallelWriterCounts() []int {
-	set := map[int]bool{1: true, 2: true, 4: true, runtime.NumCPU(): true}
-	var counts []int
-	for w := range set {
-		counts = append(counts, w)
-	}
-	sort.Ints(counts)
-	return counts
-}
-
-// runParallel measures everything runs times, keeps the conservative
-// merge (see mergeParallelReports), and writes the report.
-func runParallel(n, runs int, out string) {
-	if runs <= 0 {
-		runs = 1
-	}
-	rep := measureParallel(n)
-	for r := 1; r < runs; r++ {
-		fmt.Fprintf(os.Stderr, "-- run %d/%d --\n", r+1, runs)
-		rep = mergeParallelReports(rep, measureParallel(n))
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatalf("parallel: %v", err)
-	}
-	blob = append(blob, '\n')
-	if out == "" || out == "-" {
-		os.Stdout.Write(blob)
-		return
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		fatalf("parallel: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-// measureParallel runs one full measurement pass over the eight cash
-// summaries.
-func measureParallel(n int) parallelReport {
-	if n <= 0 {
-		n = 2_000_000
-	}
-	gen := streamgen.Uniform{Bits: 24, Seed: 1}
-	data := streamgen.Generate(gen, n)
-	maxprocs := runtime.GOMAXPROCS(0)
-	rep := parallelReport{
-		N:          n,
-		GOMAXPROCS: maxprocs,
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Workload:   gen.Name(),
-	}
-	counts := parallelWriterCounts()
+// The parallel path (BENCH_parallel.json) measures multi-core write
+// scaling through the per-goroutine writer handles: w writers, each with
+// its own AcquireWriter handle, feed a w-shard container
+// element-at-a-time — the placement the sharded layer was built for —
+// against one writer doing the same work. Handle slots are issued
+// round-robin, so the w handles land on w distinct shards.
+func measureParallel(m *meter, data []uint64) {
+	ws := []int{2, 4}
 	for _, tc := range ingestCash {
-		var base float64
-		for _, w := range counts {
-			el := measureHandles(data, w, tc.fresh)
-			rate := melems(n, el)
-			if w == 1 {
-				base = rate
-			}
-			eff := 1.0
-			if cores := min(float64(w), float64(maxprocs)); base > 0 && cores > 0 {
-				eff = min(rate/(base*cores), 1.0)
-			}
-			rep.Rows = append(rep.Rows, parallelRow{Name: tc.name, Writers: w, Melems: rate, Efficiency: eff})
-			fmt.Fprintf(os.Stderr, "%-12s W=%-3d %8.2f Melem/s   eff %.2f\n", tc.name, w, rate, eff)
-		}
-	}
-	return rep
-}
-
-// measureHandles times w writer goroutines, each driving its 1/w slice
-// of data element-at-a-time through its own writer handle into a
-// fresh w-shard container (slots are issued round-robin, so the w
-// handles land on w distinct shards). Fastest of two runs, like
-// measure().
-func measureHandles(data []uint64, w int, fresh func() core.CashRegister) time.Duration {
-	var best time.Duration
-	for r := 0; r < 2; r++ {
-		s, err := sharded.NewCashRegister(w, fresh)
-		if err != nil {
-			panic(err)
-		}
-		per := len(data) / w
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < w; i++ {
-			lo, hi := i*per, (i+1)*per
-			if i == w-1 {
-				hi = len(data)
-			}
-			wg.Add(1)
-			go func(part []uint64) {
-				defer wg.Done()
+		m.sweep("parallel/writers", tc.name, ws, func(w int) {
+			s, err := sharded.NewCashRegister(w, tc.fresh)
+			check(err)
+			inParallel(data, w, func(part []uint64) {
 				h := s.AcquireWriter()
 				defer h.Close()
 				for _, x := range part {
 					h.Update(x)
 				}
-			}(data[lo:hi])
-		}
-		wg.Wait()
-		if el := time.Since(start); r == 0 || el < best {
-			best = el
-		}
+			})
+		})
 	}
-	return best
-}
-
-// mergeParallelReports folds run b into a conservatively: per
-// (name, writers) row it keeps the *fastest* 1-writer rate and the
-// *slowest* multi-writer rate, then recomputes efficiency from the
-// merged rows. The merged efficiency lower-bounds every individual
-// run's, so the committed baseline sets compare floors a typical CI
-// run clears.
-func mergeParallelReports(a, b parallelReport) parallelReport {
-	type key struct {
-		name string
-		w    int
-	}
-	bBy := map[key]parallelRow{}
-	for _, r := range b.Rows {
-		bBy[key{r.Name, r.Writers}] = r
-	}
-	base := map[string]float64{}
-	for i, r := range a.Rows {
-		if o, ok := bBy[key{r.Name, r.Writers}]; ok {
-			if r.Writers == 1 {
-				r.Melems = max(r.Melems, o.Melems)
-			} else {
-				r.Melems = min(r.Melems, o.Melems)
-			}
-		}
-		if r.Writers == 1 {
-			base[r.Name] = r.Melems
-		}
-		if p1 := base[r.Name]; p1 > 0 {
-			cores := min(float64(r.Writers), float64(a.GOMAXPROCS))
-			r.Efficiency = min(r.Melems/(p1*cores), 1.0)
-		}
-		a.Rows[i] = r
-	}
-	return a
-}
-
-// runParallelCompare fails (exit 1) when any summary's scaling
-// efficiency at the highest measured writer count regressed more than
-// tolFrac below the baseline's. Efficiency is already normalized to
-// the measuring machine's cores, so a 1-core baseline still gates a
-// 4-core CI runner (and vice versa): the floor is relative, the
-// normalization absolute.
-func runParallelCompare(oldPath, newPath string, tolFrac float64) {
-	oldRep, err := readParallel(oldPath)
-	if err != nil {
-		fatalf("parallel-compare: %v", err)
-	}
-	newRep, err := readParallel(newPath)
-	if err != nil {
-		fatalf("parallel-compare: %v", err)
-	}
-	oldEff := topEfficiency(oldRep)
-	failed := false
-	for _, name := range reportNames(newRep) {
-		eff, w := effAt(newRep, name)
-		o, ok := oldEff[name]
-		if !ok {
-			fmt.Printf("%-12s NEW      efficiency %.2f at %d writers (no baseline)\n", name, eff, w)
-			continue
-		}
-		limit := o * (1 - tolFrac)
-		status := "ok"
-		if eff < limit {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-12s %-9s efficiency %.2f at %d writers vs baseline %.2f (floor %.2f)\n",
-			name, status, eff, w, o, limit)
-	}
-	if failed {
-		fatalf("parallel-compare: scaling efficiency regressed more than %.0f%%", tolFrac*100)
-	}
-}
-
-// topEfficiency maps each summary to its efficiency at the report's
-// highest writer count.
-func topEfficiency(rep *parallelReport) map[string]float64 {
-	out := map[string]float64{}
-	for _, name := range reportNames(rep) {
-		out[name], _ = effAt(rep, name)
-	}
-	return out
-}
-
-// effAt returns name's efficiency at its highest writer count.
-func effAt(rep *parallelReport, name string) (eff float64, writers int) {
-	for _, r := range rep.Rows {
-		if r.Name == name && r.Writers >= writers {
-			eff, writers = r.Efficiency, r.Writers
-		}
-	}
-	return eff, writers
-}
-
-func reportNames(rep *parallelReport) []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, r := range rep.Rows {
-		if !seen[r.Name] {
-			seen[r.Name] = true
-			names = append(names, r.Name)
-		}
-	}
-	return names
-}
-
-func readParallel(path string) (*parallelReport, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep parallelReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }
