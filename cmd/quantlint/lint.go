@@ -28,13 +28,13 @@ import (
 // the directory quantlint was invoked from, so output is stable across
 // machines (and across golden-file runs).
 type finding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Rule       string `json:"rule"`
-	Msg        string `json:"msg"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
+	File       string
+	Line       int
+	Col        int
+	Rule       string
+	Msg        string
+	Suppressed bool
+	Reason     string
 }
 
 func (f finding) String() string {
@@ -98,15 +98,6 @@ type linter struct {
 // recursive walk. The returned findings include suppressed ones, sorted
 // by position; the caller decides what to show.
 func lint(base string, patterns []string) ([]finding, error) {
-	return lintOnly(base, patterns, nil)
-}
-
-// lintOnly is lint restricted to a rule subset: only the rules in
-// `only` run, and only their findings (plus SQ000, the engine's own
-// directive diagnostics) are returned. A nil set means every rule.
-// Skipping a rule skips its work too — `-only SQ002` on a big tree
-// never pays for the lock rules' typed pass.
-func lintOnly(base string, patterns []string, only map[string]bool) ([]finding, error) {
 	l := &linter{
 		base:     base,
 		fset:     token.NewFileSet(),
@@ -127,20 +118,9 @@ func lintOnly(base string, patterns []string, only map[string]bool) ([]finding, 
 		}
 	}
 	for _, r := range ruleTable {
-		if only == nil || only[r.id] {
-			r.run(l)
-		}
+		r.run(l)
 	}
 	l.markSuppressed()
-	if only != nil {
-		kept := l.findings[:0]
-		for _, f := range l.findings {
-			if only[f.Rule] || f.Rule == "SQ000" {
-				kept = append(kept, f)
-			}
-		}
-		l.findings = kept
-	}
 	sort.Slice(l.findings, func(i, j int) bool {
 		a, b := l.findings[i], l.findings[j]
 		if a.File != b.File {
@@ -265,8 +245,8 @@ func (l *linter) load(dir string) (*pkgInfo, error) {
 }
 
 // loadByImport returns the already-parsed package for an import path,
-// loading it on demand when the lint patterns did not cover it (SQ005
-// follows aliases wherever they point).
+// loading it on demand when the lint patterns did not cover it (the
+// typed pass follows imports wherever they point).
 func (l *linter) loadByImport(mod *module, path string) (*pkgInfo, error) {
 	if p, ok := l.byImport[path]; ok {
 		return p, nil

@@ -2,10 +2,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -70,9 +70,9 @@ func TestBadModuleStrictGolden(t *testing.T) {
 }
 
 // TestEachRuleFiresExactlyOnce asserts the fixture's design: every
-// package internal/sqNNN trips rule SQNNN and nothing else (SQ005 is
-// attributed to the registration site in quantiles.go), the cmd/ and
-// harness layers are silent, and every rule fires somewhere.
+// package internal/sqNNN trips rule SQNNN and nothing else, the scoped
+// rules fire at their scoped paths, the cmd/ and harness layers are
+// silent, and every rule fires somewhere.
 func TestEachRuleFiresExactlyOnce(t *testing.T) {
 	fs := lintFixture(t, "bad")
 	rulesByPrefix := map[string]map[string]bool{}
@@ -97,18 +97,22 @@ func TestEachRuleFiresExactlyOnce(t *testing.T) {
 		"internal/sq003":      "SQ003",
 		"internal/sq004":      "SQ004",
 		"internal/sq006":      "SQ006",
-		"internal/sq007":      "SQ007",
-		"internal/sq008":      "SQ008",
-		"internal/sq009":      "SQ009", // the pool-pairing half
 		"internal/sq010":      "SQ010",
 		"internal/sq011":      "SQ011",
 		"internal/sq012":      "SQ012",
-		"internal/sq013":      "SQ013", // anchored at the target's MarshalBinary
-		"internal/gk":         "SQ009", // the columnar-layout half fires at a columnar path
+		"internal/gk":         "SQ009", // the layout rule fires at a columnar path
 		"internal/sharded":    "SQ014", // the placement rule fires at its scoped path
 		"internal/checkpoint": "SQ015", // the fan-out rule fires at its scoped path
 		"internal/ignored":    "SQ000", // the malformed directive
-		"quantiles.go":        "SQ005",
+	}
+	fired := map[string]bool{}
+	for _, rule := range want {
+		fired[rule] = true
+	}
+	for _, r := range ruleTable {
+		if !fired[r.id] {
+			t.Errorf("%s fires nowhere in the bad fixture", r.id)
+		}
 	}
 	for prefix, rule := range want {
 		m := rulesByPrefix[prefix]
@@ -160,93 +164,67 @@ func TestCleanModuleIsSilent(t *testing.T) {
 	}
 }
 
+var repoLint struct {
+	once sync.Once
+	fs   []finding
+	err  error
+}
+
+// lintRepo lints the real repository once per test binary; the tree
+// checks below share that one pass.
+func lintRepo(t *testing.T) []finding {
+	t.Helper()
+	repoLint.once.Do(func() {
+		base, err := filepath.Abs(filepath.Join("..", ".."))
+		if err != nil {
+			repoLint.err = err
+			return
+		}
+		repoLint.fs, repoLint.err = lint(base, []string{"./..."})
+	})
+	if repoLint.err != nil {
+		t.Fatal(repoLint.err)
+	}
+	return repoLint.fs
+}
+
 // TestRepoIsLintClean runs the linter over the real repository: HEAD
 // must stay free of unsuppressed findings (the same gate `make lint`
 // enforces).
 func TestRepoIsLintClean(t *testing.T) {
-	base, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := lint(base, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if active := render(fs, false); active != "" {
+	if active := render(lintRepo(t), false); active != "" {
 		t.Errorf("repository is not lint-clean:\n%s", active)
 	}
 }
 
-// TestRuleTable pins the catalog `-rules` prints: ids are SQ001..SQ015
-// in order, each with a one-line doc, and knownRule accepts exactly
-// them plus the SQ000 pseudo-rule.
+// TestNewRulesCleanOnRepo is the tree-health self-check for the typed
+// rules alone: the real repository must be clean under SQ010–SQ012
+// with no waivers at all (the lock and eps disciplines hold
+// everywhere, not just modulo ignores).
+func TestNewRulesCleanOnRepo(t *testing.T) {
+	for _, f := range lintRepo(t) {
+		if f.Rule == "SQ010" || f.Rule == "SQ011" || f.Rule == "SQ012" {
+			t.Errorf("typed rule reports a finding on the real tree: %v", f)
+		}
+	}
+}
+
+// TestRuleTable pins the catalog `-rules` prints: the surviving ids in
+// order (retired numbers are never reused, so every //lint:ignore keeps
+// its meaning), each with a one-line doc and a pass.
 func TestRuleTable(t *testing.T) {
-	if len(ruleTable) != 15 {
-		t.Fatalf("want 15 registered rules, got %d", len(ruleTable))
+	want := []string{"SQ001", "SQ002", "SQ003", "SQ004", "SQ006", "SQ009",
+		"SQ010", "SQ011", "SQ012", "SQ014", "SQ015"}
+	if len(ruleTable) != len(want) {
+		t.Fatalf("want %d registered rules, got %d", len(want), len(ruleTable))
 	}
 	for i, r := range ruleTable {
-		wantID := fmt.Sprintf("SQ%03d", i+1)
-		if r.id != wantID {
-			t.Errorf("ruleTable[%d].id = %s, want %s", i, r.id, wantID)
+		if r.id != want[i] {
+			t.Errorf("ruleTable[%d].id = %s, want %s", i, r.id, want[i])
 		}
 		if r.doc == "" || r.run == nil {
 			t.Errorf("%s: missing doc or run", r.id)
 		}
-		if !knownRule(r.id) {
-			t.Errorf("knownRule(%s) = false", r.id)
-		}
-	}
-	if !knownRule("SQ000") {
-		t.Error("knownRule(SQ000) = false: the directive pseudo-rule must be addressable")
-	}
-	if knownRule("SQ016") || knownRule("nonsense") {
-		t.Error("knownRule accepts ids that do not exist")
-	}
-}
-
-// TestOnlyFilter checks -only's contract on the bad module: restricted
-// to SQ011, the output holds that rule's finding (plus SQ000, the
-// engine's own directive diagnostics) and nothing else.
-func TestOnlyFilter(t *testing.T) {
-	base, err := filepath.Abs(filepath.Join("testdata", "bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := lintOnly(base, []string{"./..."}, map[string]bool{"SQ011": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, f := range fs {
-		counts[f.Rule]++
-	}
-	if counts["SQ011"] != 1 {
-		t.Errorf("want exactly the one SQ011 finding, got %v", counts)
-	}
-	for rule := range counts {
-		if rule != "SQ011" && rule != "SQ000" {
-			t.Errorf("-only SQ011 leaked rule %s into the output: %v", rule, counts)
-		}
-	}
-}
-
-// TestNewRulesCleanOnRepo is the tree-health self-check for the typed
-// rules alone: the real repository must be clean under SQ010–SQ013
-// with no waivers at all (the lock, eps and codec disciplines hold
-// everywhere, not just modulo ignores).
-func TestNewRulesCleanOnRepo(t *testing.T) {
-	base, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := lintOnly(base, []string{"./..."}, map[string]bool{
-		"SQ010": true, "SQ011": true, "SQ012": true, "SQ013": true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := render(fs, true); out != "" {
-		t.Errorf("typed rules report findings on the real tree:\n%s", out)
 	}
 }
 
@@ -309,7 +287,7 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 	if !stripped {
 		t.Fatalf("copy finished without mutating %s", victim)
 	}
-	fs, err := lintOnly(tmp, []string{"./..."}, map[string]bool{"SQ011": true})
+	fs, err := lint(tmp, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,23 @@
-// Command quantlint is the repo's static analyzer: fourteen numbered
-// rules (SQ001–SQ014) encoding the invariants this codebase relies on
-// but generic linters cannot know. SQ001–SQ009 and SQ014 are
-// pure-syntax passes — seeded-randomness discipline, float comparison
-// hygiene, panic-free hot paths, the internal/ layering, the
-// Invariants() sanitizer contract for every registered summary, the
-// decode-path hardening contract (no panics, no input-sized
-// allocations without a guard) behind durable checkpoint recovery, the
-// allocation discipline of the ingestion and query hot paths, the
-// memory-layout discipline (columnar storage in the SoA summary
-// packages, same-function sync.Pool Get/Put pairing), and the
-// write-path memory-placement discipline (cache-line pads on hot
-// structs sliced by value in internal/sharded, no package-level
-// atomics). SQ010–SQ013 are type-aware: guarded-by
+// Command quantlint is the repo's static analyzer: numbered rules
+// encoding the invariants this codebase relies on but generic linters
+// cannot know, and no test can observe. SQ001–SQ004, SQ006, SQ009,
+// SQ014 and SQ015 are pure-syntax passes — seeded-randomness
+// discipline, float comparison hygiene, panic-free hot paths, the
+// internal/ layering, the decode-path hardening contract (no panics, no
+// input-sized allocations without a guard) behind durable checkpoint
+// recovery, columnar storage in the struct-of-arrays summary packages,
+// no package-level atomics on the sharded write path, and the
+// checkpoint fan-out discipline. SQ010–SQ012 are type-aware: guarded-by
 // lock discipline over `// guarded by mu` field annotations, unlock-
-// path soundness over an intra-function CFG, ε-budget propagation
-// through Merge implementations, and codec parity (marshal implies
-// unmarshal + golden fixture + fuzz/crash-matrix seed) computed from
-// the registry itself. Run `quantlint -rules` for the catalog.
+// path soundness over an intra-function CFG, and ε-budget propagation
+// through Merge implementations. Properties a test pins (the
+// Invariants contract, codec parity, hot-path allocations, pool
+// pairing, the shard pad) are left to those tests. Run `quantlint
+// -rules` for the catalog.
 //
 // Usage:
 //
-//	quantlint [-json] [-strict] [-only SQ0NN[,SQ0NN...]] [-rules] [packages...]
+//	quantlint [-strict] [-rules] [packages...]
 //
 // Packages follow the go tool's pattern shape (a directory, or dir/...
 // for a recursive walk); the default is ./... from the current
@@ -33,27 +30,21 @@
 // -strict additionally prints the suppressed findings, inventorying
 // every ignore in the tree; the exit status still reflects only
 // unsuppressed findings, so a tree whose every finding is waived stays
-// green while the waivers stay visible. -only restricts the run to the
-// named rules (their analyses alone execute). -json emits the findings
-// as a JSON array. Exit status: 0 when clean, 1 on unsuppressed
-// findings, 2 on usage or parse errors.
+// green while the waivers stay visible. Exit status: 0 when clean, 1 on
+// unsuppressed findings, 2 on usage or parse errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	strict := flag.Bool("strict", false, "also report findings suppressed by //lint:ignore")
-	only := flag.String("only", "", "comma-separated rule ids to run (e.g. SQ010,SQ011); default all")
 	listRules := flag.Bool("rules", false, "print the rule catalog and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: quantlint [-json] [-strict] [-only SQ0NN[,SQ0NN...]] [-rules] [packages...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: quantlint [-strict] [-rules] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -65,19 +56,6 @@ func main() {
 		return
 	}
 
-	var onlySet map[string]bool
-	if *only != "" {
-		onlySet = map[string]bool{}
-		for _, id := range strings.Split(*only, ",") {
-			id = strings.TrimSpace(id)
-			if !knownRule(id) {
-				fmt.Fprintf(os.Stderr, "quantlint: unknown rule %q (see quantlint -rules)\n", id)
-				os.Exit(2)
-			}
-			onlySet[id] = true
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -87,34 +65,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quantlint: %v\n", err)
 		os.Exit(2)
 	}
-	all, err := lintOnly(base, patterns, onlySet)
+	all, err := lint(base, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quantlint: %v\n", err)
 		os.Exit(2)
 	}
 
-	visible := all[:0:0]
 	active := 0
 	for _, f := range all {
 		if !f.Suppressed {
 			active++
 		}
 		if !f.Suppressed || *strict {
-			visible = append(visible, f)
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if visible == nil {
-			visible = []finding{}
-		}
-		if err := enc.Encode(visible); err != nil {
-			fmt.Fprintf(os.Stderr, "quantlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range visible {
 			fmt.Println(f)
 		}
 	}

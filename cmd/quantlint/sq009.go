@@ -1,11 +1,12 @@
-// SQ009 — columnar layout and pool hygiene.
+// SQ009 — columnar layout in the struct-of-arrays summary packages.
+// It is a rule because no test sees a layout: an array-of-structs
+// table answers every query correctly and only costs stride.
 package main
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // sq009ColumnarPkgs are the summary packages whose tuple state moved to
@@ -27,47 +28,31 @@ var sq009NumericTypes = map[string]bool{
 	"float32": true, "float64": true, "byte": true, "rune": true, "uintptr": true,
 }
 
-// checkSQ009 enforces the memory-layout discipline in two shapes:
-//
-//   - in the columnar packages, any slice type `[]T` where T is a
-//     package-declared struct of three or more all-numeric fields: a
-//     table of ≥3 parallel numeric columns belongs in column slices
-//     (8-byte strides on the one or two columns a sweep touches), not
-//     in an interleaved array of structs. Two-field structs stay legal
-//     — a value-weight pair (core.WeightedValue) is an exchange format,
-//     not a table — as do structs holding pointers or slices;
-//   - anywhere: a pool.Get() call whose pool's Put never appears in the
-//     same function. Pools whose Get and Put sit in different functions
-//     couple allocation lifetimes across call sites, which is how
-//     double-Put and use-after-Put bugs enter; a deferred Put counts.
-//     "Pool" means the receiver's leaf name contains "pool" — the
-//     repo's naming convention for every sync.Pool.
+// checkSQ009 flags, in the columnar packages, any slice type `[]T`
+// where T is a package-declared struct of three or more all-numeric
+// fields: a table of ≥3 parallel numeric columns belongs in column
+// slices (8-byte strides on the one or two columns a sweep touches),
+// not in an interleaved array of structs. Two-field structs stay legal
+// — a value-weight pair (core.WeightedValue) is an exchange format, not
+// a table — as do structs holding pointers or slices.
 func (l *linter) checkSQ009() {
 	for _, p := range l.pkgs {
-		if exempt(p.rel, sq009ColumnarPkgs) {
-			tuples := numericTupleStructs(p)
-			for _, f := range p.files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					at, ok := n.(*ast.ArrayType)
-					if !ok || at.Len != nil {
-						return true
-					}
-					if id, ok := at.Elt.(*ast.Ident); ok && tuples[id.Name] {
-						l.report(at.Pos(), "SQ009", fmt.Sprintf(
-							"[]%s interleaves %s's all-numeric tuple fields: columnar packages store parallel column slices (see gk.tcols), not arrays of structs", id.Name, id.Name))
-					}
-					return true
-				})
-			}
+		if !exempt(p.rel, sq009ColumnarPkgs) {
+			continue
 		}
+		tuples := numericTupleStructs(p)
 		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+			ast.Inspect(f, func(n ast.Node) bool {
+				at, ok := n.(*ast.ArrayType)
+				if !ok || at.Len != nil {
+					return true
 				}
-				l.auditPoolPairing(fd)
-			}
+				if id, ok := at.Elt.(*ast.Ident); ok && tuples[id.Name] {
+					l.report(at.Pos(), "SQ009", fmt.Sprintf(
+						"[]%s interleaves %s's all-numeric tuple fields: columnar packages store parallel column slices (see gk.tcols), not arrays of structs", id.Name, id.Name))
+				}
+				return true
+			})
 		}
 	}
 }
@@ -111,44 +96,4 @@ func numericTupleStructs(p *pkgInfo) map[string]bool {
 		}
 	}
 	return set
-}
-
-// auditPoolPairing reports every pool.Get() in fd whose pool never sees
-// a Put in the same body.
-func (l *linter) auditPoolPairing(fd *ast.FuncDecl) {
-	type get struct {
-		pos  token.Pos
-		leaf string
-	}
-	var gets []get
-	puts := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		leaf := leafName(sel.X)
-		if leaf == "" || !strings.Contains(strings.ToLower(leaf), "pool") {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Get":
-			if len(call.Args) == 0 {
-				gets = append(gets, get{call.Pos(), leaf})
-			}
-		case "Put":
-			puts[leaf] = true
-		}
-		return true
-	})
-	for _, g := range gets {
-		if !puts[g.leaf] {
-			l.report(g.pos, "SQ009", fmt.Sprintf(
-				"%s.Get() in %s has no %s.Put in the same function: pool lifetimes must pair up locally (a deferred Put counts) or double-Put and use-after-Put bugs creep in", g.leaf, fd.Name.Name, g.leaf))
-		}
-	}
 }

@@ -1,4 +1,4 @@
-// Package gk trips the layout half of SQ009: it sits at one of the
+// Package gk trips SQ009: it sits at one of the
 // columnar package paths and declares a slice of an all-numeric tuple
 // struct — the array-of-structs shape the SoA refactor removed. The
 // two-field pair type and the struct holding a slice stay legal.

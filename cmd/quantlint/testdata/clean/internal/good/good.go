@@ -1,12 +1,8 @@
 // Package good is a miniature well-behaved summary: seeded-determinism
-// friendly, panic-free hot paths, tolerance-based float handling, and
-// the Invariants contract in place.
+// friendly, panic-free hot paths and tolerance-based float handling.
 package good
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrEmpty is the documented empty-query sentinel.
 var ErrEmpty = errors.New("good: empty summary")
@@ -35,12 +31,4 @@ func (g *Good) Quantile(phi float64) uint64 {
 		panic(ErrEmpty)
 	}
 	return g.last
-}
-
-// Invariants implements the sanitizer contract.
-func (g *Good) Invariants() error {
-	if g.n < 0 {
-		return fmt.Errorf("good: negative count %d", g.n)
-	}
-	return nil
 }

@@ -48,8 +48,9 @@ type AppendMarshaler interface {
 // marshal and frame-building calls: the checkpoint layer's frames and
 // the sharded codec's per-shard payloads both draw from it, so
 // steady-state checkpointing of an unchanged topology is
-// allocation-flat. Every Get must pair with a Put in the same function
-// (the SQ009 contract).
+// allocation-flat. Every Get must pair with a Put in the same function:
+// a lost Put reads as an extra allocation per save in the root
+// package's TestSteadyStateAllocations.
 var EncodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // U64 appends an unsigned varint.

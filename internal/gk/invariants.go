@@ -2,9 +2,9 @@ package gk
 
 import "fmt"
 
-// This file implements the Invariants() error contract (enforced by
-// cmd/quantlint rule SQ005 and sampled at runtime under -tags sqcheck)
-// for all GK variants. The checks are the stream-independent half of the
+// This file implements the Invariants() error contract (enforced at
+// compile time by the root package's summary roster and sampled at
+// runtime under -tags sqcheck) for all GK variants. The checks are the stream-independent half of the
 // GK correctness argument: tuple ordering, weight conservation
 // Σg = n, and the capacity invariant (2) g_i + Δ_i ≤ ⌊2εn⌋ that the
 // εn rank-error bound is proved from. The stream-dependent invariant (1)

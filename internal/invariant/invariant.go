@@ -19,8 +19,9 @@
 //		}
 //	}
 //
-// The static analyzer in cmd/quantlint (rule SQ005) enforces that every
-// summary type registered in quantiles.go implements Checkable.
+// The root package's TestRegistryIsComplete and
+// TestEverySummaryImplementsCheckable enforce that every summary type
+// registered in quantiles.go implements Checkable.
 package invariant
 
 // Checkable is implemented by every summary in the library: Invariants

@@ -283,8 +283,12 @@ func (c *container) Reshard(p int) error {
 func (c *container) retarget(fresh func() core.Summary) error {
 	c.topo.Lock()
 	defer c.topo.Unlock()
+	caps, err := probeCaps(fresh)
+	if err != nil {
+		return err
+	}
 	old := c.gen.Load()
-	return c.drain(old, len(old.shards), fresh, probeCaps(fresh), absorb)
+	return c.drain(old, len(old.shards), fresh, caps, absorb)
 }
 
 // drain replaces old by a successor of p shards built by fresh: it

@@ -77,19 +77,18 @@ func mix(x uint64) uint64 {
 }
 
 // invariantChecker is implemented by every registered summary (the
-// quantlint SQ005 contract); shards that provide it are deep-checked by
-// Invariants.
+// root package's Checkable contract); shards that provide it are
+// deep-checked by Invariants.
 type invariantChecker interface{ Invariants() error }
 
 // cacheLine is the placement granularity for hot shared state: 128
 // bytes — two 64-byte lines — so the spatial prefetcher's paired line
 // loads cannot re-introduce false sharing between neighbours either.
-// The shard struct a generation stores as []shard pads to a multiple of
-// it (the SQ014 lint holds the discipline, a Sizeof test pins the
-// arithmetic): without the padding, shard i's lock word and
-// shard i+1's summary header share a line, and P writers on P cores
-// ping that line between caches on every update even though they never
-// touch each other's shard.
+// The shard struct a generation stores as []shard pads to exactly one
+// of it (TestShardStructsPadded pins the size): without the padding,
+// shard i's lock word and shard i+1's summary header share a line, and
+// P writers on P cores ping that line between caches on every update
+// even though they never touch each other's shard.
 const cacheLine = 128
 
 // shard pads each summary's lock onto its own state; shards are only
@@ -190,9 +189,23 @@ func (c *container) setup(p int, fresh func() core.Summary, freezes bool) error 
 	if err := checkShards(p); err != nil {
 		return err
 	}
+	caps, err := probeCaps(fresh)
+	if err != nil {
+		return err
+	}
 	c.freezes = freezes
-	c.gen.Store(newGeneration(0, p, fresh, probeCaps(fresh)))
+	c.gen.Store(newGeneration(0, p, fresh, caps))
 	return nil
+}
+
+// widen lifts a typed factory to the container's core.Summary factory.
+// A nil factory stays nil, so probeCaps rejects it instead of a wrapper
+// closure hiding it.
+func widen[T core.Summary](fresh func() T) func() core.Summary {
+	if fresh == nil {
+		return nil
+	}
+	return func() core.Summary { return fresh() }
 }
 
 // Shards returns the current shard count P.
@@ -418,7 +431,7 @@ type CashRegister struct {
 // shard count surfaces as an error, not a panic.
 func NewCashRegister(p int, fresh func() core.CashRegister) (*CashRegister, error) {
 	c := &CashRegister{}
-	if err := c.setup(p, func() core.Summary { return fresh() }, cashFreezes); err != nil {
+	if err := c.setup(p, widen(fresh), cashFreezes); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -431,7 +444,7 @@ func NewCashRegister(p int, fresh func() core.CashRegister) (*CashRegister, erro
 // budget semantics (see absorb) and frozen as a rank component
 // otherwise. The shard count is preserved.
 func (c *CashRegister) Retarget(fresh func() core.CashRegister) error {
-	return c.retarget(func() core.Summary { return fresh() })
+	return c.retarget(widen(fresh))
 }
 
 // Update implements core.CashRegister: the element lands on the next

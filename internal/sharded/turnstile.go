@@ -45,7 +45,7 @@ func (pt *partition) resize(p int) {
 // shard count surfaces as an error, not a panic.
 func NewTurnstile(p int, fresh func() core.Turnstile) (*Turnstile, error) {
 	t := &Turnstile{}
-	if err := t.setup(p, func() core.Summary { return fresh() }, turnFreezes); err != nil {
+	if err := t.setup(p, widen(fresh), turnFreezes); err != nil {
 		return nil, err
 	}
 	t.parts.New = func() any { return &partition{} }
@@ -58,7 +58,7 @@ func NewTurnstile(p int, fresh func() core.Turnstile) (*Turnstile, error) {
 // a throwaway instance decides before anything is published, and a
 // refusal leaves the live topology untouched (see drain).
 func (t *Turnstile) Retarget(fresh func() core.Turnstile) error {
-	return t.retarget(func() core.Summary { return fresh() })
+	return t.retarget(widen(fresh))
 }
 
 // Insert implements core.Turnstile. A shard caught mid-retire re-routes

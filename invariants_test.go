@@ -1,17 +1,26 @@
 package streamquantiles
 
 import (
+	"encoding"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
 	"testing"
 
 	"streamquantiles/internal/invariant"
 	"streamquantiles/internal/xhash"
 )
 
-// TestEverySummaryImplementsCheckable pins the SQ005 contract at compile
-// time and at runtime: every summary type registered in quantiles.go
-// satisfies invariant.Checkable and reports a sound structure when empty.
-func TestEverySummaryImplementsCheckable(t *testing.T) {
-	summaries := map[string]Checkable{
+// summaryRoster builds one empty instance of every summary registered
+// in quantiles.go, keyed by its constructor's name minus "New", plus
+// the OLS snapshot PostProcess builds. It is the one roster the
+// registry, invariant and allocation tests share; TestRegistryIsComplete
+// fails when a constructor is missing from it. The value type is the
+// compile-time half of the Invariants contract: a registered summary
+// without Invariants() error stops this package's tests from compiling.
+func summaryRoster() map[string]Checkable {
+	return map[string]Checkable{
 		"GKAdaptive":   NewGKAdaptive(0.01),
 		"GKTheory":     NewGKTheory(0.01),
 		"GKArray":      NewGKArray(0.01),
@@ -21,14 +30,58 @@ func TestEverySummaryImplementsCheckable(t *testing.T) {
 		"Random":       NewRandom(0.01, 1),
 		"KLL":          NewKLL(0.01, 1),
 		"Windowed":     NewWindowed(0.05, 1000, 1),
-		"DCM":          NewDCM(0.05, 12, DyadicConfig{Seed: 1}),
-		"DCS":          NewDCS(0.05, 12, DyadicConfig{Seed: 1}),
-		"DRSS":         NewDRSS(0.05, 12, DyadicConfig{Seed: 1}),
-		"Post(on DCS)": PostProcess(NewDCS(0.05, 12, DyadicConfig{Seed: 1}), 0),
+		"DCM":          NewDCM(0.05, 16, DyadicConfig{Seed: 1}),
+		"DCS":          NewDCS(0.05, 16, DyadicConfig{Seed: 1}),
+		"DRSS":         NewDRSS(0.05, 16, DyadicConfig{Seed: 1}),
+		"Post(on DCS)": PostProcess(NewDCS(0.05, 16, DyadicConfig{Seed: 1}), 0),
 	}
-	for name, s := range summaries {
+}
+
+// TestEverySummaryImplementsCheckable pins the Invariants contract at
+// compile time (summaryRoster's value type) and at runtime: every
+// registered summary reports a sound structure when empty.
+func TestEverySummaryImplementsCheckable(t *testing.T) {
+	for name, s := range summaryRoster() {
 		if err := CheckInvariants(s); err != nil {
 			t.Errorf("%s (empty): %v", name, err)
+		}
+	}
+}
+
+// TestRegistryIsComplete closes the gaps the compiler leaves open in
+// the registry: every exported New* constructor in quantiles.go must
+// appear in summaryRoster, and every roster summary with a binary codec
+// must decode as well as encode and be listed in matrixSummaries (under
+// its lower-cased name), the table the golden, fuzz and crash-recovery
+// tests iterate.
+func TestRegistryIsComplete(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "quantiles.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster := summaryRoster()
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Recv != nil || !fd.Name.IsExported() || !strings.HasPrefix(fd.Name.Name, "New") {
+			continue
+		}
+		if _, ok := roster[strings.TrimPrefix(fd.Name.Name, "New")]; !ok {
+			t.Errorf("%s is missing from summaryRoster: list it so the invariant, codec and allocation tests cover it", fd.Name.Name)
+		}
+	}
+	matrix := map[string]bool{}
+	for _, ms := range matrixSummaries {
+		matrix[ms.name] = true
+	}
+	for name, s := range roster {
+		if _, ok := s.(encoding.BinaryMarshaler); !ok {
+			continue
+		}
+		if _, ok := s.(encoding.BinaryUnmarshaler); !ok {
+			t.Errorf("%s implements MarshalBinary but not UnmarshalBinary: a one-way codec makes checkpoints write-only", name)
+		}
+		if key := strings.ToLower(name); !matrix[key] {
+			t.Errorf("%s has a codec but no matrixSummaries entry %q: the golden, fuzz and crash matrices must exercise it", name, key)
 		}
 	}
 }

@@ -356,11 +356,12 @@ func TestWritersDuringParallelCheckpoint(t *testing.T) {
 	}
 }
 
-// BenchmarkShardedMarshalAllocs pins the allocation-flat marshal path:
-// per-shard encode buffers come from core.EncodeBufPool and the frame
-// is assembled into one exactly-sized allocation, so steady-state
-// allocations per save stay flat in stream size (satellite of the
-// parallel-checkpoint change; run with -benchmem to see the count).
+// BenchmarkShardedMarshalAllocs measures the allocation-flat marshal
+// path: per-shard encode buffers come from core.EncodeBufPool and the
+// frame is assembled into one exactly-sized allocation. It only prints
+// the count (9 allocs per save at GOMAXPROCS 2, the fan-out's spawns
+// included); TestSteadyStateAllocations pins the serial count, 4 at
+// every stream length.
 func BenchmarkShardedMarshalAllocs(b *testing.B) {
 	s := mustShardedCash(b, 4, func() CashRegister { return NewKLL(0.01, 7) })
 	feedRange(s, 0, 100_000)

@@ -76,8 +76,9 @@ var ErrEmpty = core.ErrEmpty
 // q-digest's weight conservation, KLL's exact level-weight accounting,
 // the dyadic levels' additivity, …) and reports the first violation.
 // Production code never needs it; tests, the sqcheck-tagged fuzz
-// harnesses, and debugging sessions do. The repo linter (cmd/quantlint,
-// rule SQ005) enforces that every summary type implements it.
+// harnesses, and debugging sessions do. TestRegistryIsComplete and
+// TestEverySummaryImplementsCheckable enforce that every summary type
+// registered here implements it.
 type Checkable = invariant.Checkable
 
 // CheckInvariants runs the deep structural self-checks of a summary and

@@ -52,6 +52,43 @@ var shardedCashCases = []struct {
 	{"kll", 0.01, func() CashRegister { return NewKLL(0.01, 7) }},
 }
 
+// TestNilFactoryRejected: a nil factory, or one that builds a nil
+// summary, is a caller bug every construction and Retarget path must
+// report as an error — never a nil-pointer panic at the first write.
+// A refused Retarget leaves the container ingesting and answering.
+func TestNilFactoryRejected(t *testing.T) {
+	nilCash := func() CashRegister { return nil }
+	nilTurn := func() Turnstile { return nil }
+	cash := mustShardedCash(t, 2, func() CashRegister { return NewKLL(0.01, 7) })
+	turn := mustShardedTurn(t, 2, func() Turnstile { return NewDCS(0.05, 12, DyadicConfig{Seed: 7}) })
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"NewShardedCashRegister/nil", func() error { _, err := NewShardedCashRegister(2, nil); return err }},
+		{"NewShardedCashRegister/nil-summary", func() error { _, err := NewShardedCashRegister(2, nilCash); return err }},
+		{"NewShardedTurnstile/nil", func() error { _, err := NewShardedTurnstile(2, nil); return err }},
+		{"NewShardedTurnstile/nil-summary", func() error { _, err := NewShardedTurnstile(2, nilTurn); return err }},
+		{"NewSafeShardedCashRegister/nil", func() error { _, err := NewSafeShardedCashRegister(2, nil); return err }},
+		{"NewSafeShardedCashRegister/nil-summary", func() error { _, err := NewSafeShardedCashRegister(2, nilCash); return err }},
+		{"NewSafeShardedTurnstile/nil", func() error { _, err := NewSafeShardedTurnstile(2, nil); return err }},
+		{"NewSafeShardedTurnstile/nil-summary", func() error { _, err := NewSafeShardedTurnstile(2, nilTurn); return err }},
+		{"ShardedCashRegister.Retarget/nil", func() error { return cash.Retarget(nil) }},
+		{"ShardedCashRegister.Retarget/nil-summary", func() error { return cash.Retarget(nilCash) }},
+		{"ShardedTurnstile.Retarget/nil", func() error { return turn.Retarget(nil) }},
+		{"ShardedTurnstile.Retarget/nil-summary", func() error { return turn.Retarget(nilTurn) }},
+	} {
+		if err := tc.call(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	cash.Update(1)
+	turn.Insert(1)
+	if cash.Generation() != 0 || turn.Generation() != 0 || cash.Quantile(0.5) != 1 || turn.Quantile(0.5) != 1 {
+		t.Error("a refused Retarget changed the container")
+	}
+}
+
 func TestShardedCashRegisterWithinEps(t *testing.T) {
 	data := batchTestData(30000)
 	sorted := append([]uint64(nil), data...)
