@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build test race lint lint-strict check crash stress-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel bench-checkpoint ingest-smoke query-smoke parallel-smoke checkpoint-smoke bench-compare experiments report html clean
+.PHONY: all verify build test race lint lint-strict check crash stress-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel bench-checkpoint ingest-smoke query-smoke parallel-smoke checkpoint-smoke bench-compare experiments html clean
 
 all: build test lint
 

@@ -12,8 +12,8 @@ import (
 // The checkpoint path (BENCH_checkpoint.json) measures durability
 // scaling at a fixed 64-shard topology: the fan-out marshal alone, a
 // full save (that marshal plus the framed, checksummed write) and a full
-// recovery (candidate scan, pipelined CRC verification, fan-out decode
-// into a fresh container) with p workers against one. All run on an
+// recovery (candidate scan, CRC verification, fan-out decode into a
+// fresh container) with p workers against one. All run on an
 // in-memory filesystem, so the rows isolate the CPU path from device
 // speed. The marshal row is the save fan-out's own gate: the sequential
 // write dilutes a lost fan-out in the save row to about the compare

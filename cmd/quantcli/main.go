@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -102,12 +101,10 @@ func runSave(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		qs        = fs.String("q", "0.01,0.25,0.5,0.75,0.99", "comma-separated quantile fractions")
 		turnstile = fs.Bool("turnstile", false, "treat lines starting with '-' as deletions")
 		report    = fs.Bool("report", false, "also print n and space usage")
-		par       = fs.Int("parallel", 0, "worker bound for the parallel encode/decode fan-out (sets GOMAXPROCS; 0 = leave at GOMAXPROCS)")
 	)
 	if fs.Parse(args) != nil {
 		return 2
 	}
-	setParallel(*par)
 	if *dir == "" {
 		fmt.Fprintln(stderr, "quantcli save: -dir is required")
 		return 2
@@ -137,12 +134,10 @@ func runResume(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		qs        = fs.String("q", "0.01,0.25,0.5,0.75,0.99", "comma-separated quantile fractions")
 		turnstile = fs.Bool("turnstile", false, "treat lines starting with '-' as deletions")
 		report    = fs.Bool("report", false, "also print n and space usage")
-		par       = fs.Int("parallel", 0, "worker bound for the parallel encode/decode fan-out (sets GOMAXPROCS; 0 = leave at GOMAXPROCS)")
 	)
 	if fs.Parse(args) != nil {
 		return 2
 	}
-	setParallel(*par)
 	if *dir == "" {
 		fmt.Fprintln(stderr, "quantcli resume: -dir is required")
 		return 2
@@ -186,16 +181,6 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		s = cash
 	}
 	return printResults(stdout, stderr, s, label, 0, *qs, *report)
-}
-
-// setParallel pins GOMAXPROCS when -parallel is set: the checkpoint
-// layer's fan-out encode/decode pools and the pipelined recovery are
-// GOMAXPROCS-bounded, so this is the one knob that widens (or, set to
-// 1, serializes) every parallel path at once.
-func setParallel(workers int) {
-	if workers > 0 {
-		runtime.GOMAXPROCS(workers)
-	}
 }
 
 // recoverFrom loads the newest valid checkpoint in dir, rebuilding the

@@ -1,5 +1,5 @@
-// The guarded-by annotation table. Two annotation forms feed the lock
-// rules (SQ010/SQ011):
+// The guarded-by annotation table that feeds the lock rules
+// (SQ010/SQ011):
 //
 //	type wrapper struct {
 //		mu sync.Mutex
@@ -8,20 +8,9 @@
 //
 // A field's trailing (or doc) comment starting `guarded by <name>`
 // binds it to a sibling mutex field of the same struct: every read or
-// write of the field must then hold that mutex. And a helper whose doc
-// comment contains a line that is exactly `locks <name>`:
-//
-//	// lockReads takes the lock queries need ...
-//	// locks mu
-//	func (c *wrapper) lockReads() func() { ... }
-//
-// declares that calling it acquires the receiver's <name> mutex and
-// returns the matching unlock — `defer c.lockReads()()` therefore acquires
-// at the defer statement and releases at function exit.
-//
-// The grammar is deliberately exact-match (a comment line must start
-// with "guarded by", a locks line must be the whole line) so prose
-// comments cannot accidentally annotate.
+// write of the field must then hold that mutex. The grammar is
+// deliberately exact-match (a comment line must start with "guarded
+// by") so prose comments cannot accidentally annotate.
 package main
 
 import (
@@ -37,9 +26,6 @@ type guardTable struct {
 	// fields: annotated struct field -> name of the sibling mutex field
 	// guarding it.
 	fields map[types.Object]string
-	// lockFuncs: `locks <mu>` helpers -> mutex field name their receiver
-	// acquires.
-	lockFuncs map[types.Object]string
 	// bad collects malformed annotations (unknown sibling, non-mutex
 	// guard); they surface as SQ010 findings so typos cannot silently
 	// disable checking.
@@ -74,29 +60,10 @@ func guardedByField(f *ast.Field) string {
 	return ""
 }
 
-// locksAnnotation extracts the mutex name from a `locks <mu>` doc line,
-// or "". The line must consist of exactly the keyword and the name.
-func locksAnnotation(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		fields := strings.Fields(text)
-		if len(fields) == 2 && fields[0] == "locks" {
-			return fields[1]
-		}
-	}
-	return ""
-}
-
-// buildGuardTable scans one package's struct declarations and function
-// docs for annotations, resolving names through the typed pass.
+// buildGuardTable scans one package's struct declarations for
+// annotations, resolving names through the typed pass.
 func buildGuardTable(p *pkgInfo, ti *typeInfo) *guardTable {
-	gt := &guardTable{
-		fields:    map[types.Object]string{},
-		lockFuncs: map[types.Object]string{},
-	}
+	gt := &guardTable{fields: map[types.Object]string{}}
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
@@ -127,19 +94,6 @@ func buildGuardTable(p *pkgInfo, ti *typeInfo) *guardTable {
 			}
 			return true
 		})
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil {
-				continue
-			}
-			guard := locksAnnotation(fd.Doc)
-			if guard == "" {
-				continue
-			}
-			if obj := ti.info.Defs[fd.Name]; obj != nil {
-				gt.lockFuncs[obj] = guard
-			}
-		}
 	}
 	return gt
 }

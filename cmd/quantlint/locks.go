@@ -26,12 +26,6 @@
 //	                          share one key: either satisfies SQ010)
 //	x.Unlock() / x.RUnlock()  release x
 //	defer x.Unlock()          deferred release of x
-//	defer c.lockReads()()     `locks mu` helper: acquire c.mu now,
-//	                          deferred release at exit
-//	return c.mu.Unlock        the bound unlock method value transfers
-//	                          release ownership to the caller: counts
-//	                          as a release (how a `locks mu`
-//	                          helper hands back its unlock)
 //
 // Constructors (New*/new*) are exempt from SQ010: they build the
 // struct before it escapes, so no lock can or need be held. Explicit
@@ -189,10 +183,6 @@ func packageUsesLocks(p *pkgInfo) bool {
 				if guardedByField(n) != "" {
 					found = true
 				}
-			case *ast.FuncDecl:
-				if locksAnnotation(n.Doc) != "" {
-					found = true
-				}
 			}
 			return !found
 		})
@@ -338,8 +328,7 @@ func (fa *funcLockAnalysis) scanNode(n ast.Node, st *lockState) {
 	}
 }
 
-// scanDefer interprets `defer` statements: deferred unlocks, the
-// `defer c.lockReads()()` acquire-and-release-at-exit idiom, and opaque
+// scanDefer interprets `defer` statements: deferred unlocks, and opaque
 // deferred calls (arguments still evaluate now).
 func (fa *funcLockAnalysis) scanDefer(d *ast.DeferStmt, st *lockState) {
 	call := d.Call
@@ -349,34 +338,9 @@ func (fa *funcLockAnalysis) scanDefer(d *ast.DeferStmt, st *lockState) {
 			return
 		}
 	}
-	if inner, ok := call.Fun.(*ast.CallExpr); ok {
-		if key, ok := fa.lockHelperKey(inner); ok {
-			st.acquire(key, d.Pos())
-			st.deferRelease(key, d.Pos())
-			return
-		}
-	}
 	for _, a := range call.Args {
 		fa.scanExpr(a, st)
 	}
-}
-
-// lockHelperKey recognizes a call to a `locks <mu>` annotated method
-// and returns the mutex key it acquires ("c.mu" for c.lockReads()).
-func (fa *funcLockAnalysis) lockHelperKey(call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	obj := fa.ti.info.Uses[sel.Sel]
-	if obj == nil {
-		return "", false
-	}
-	guard, ok := fa.gt.lockFuncs[obj]
-	if !ok {
-		return "", false
-	}
-	return fa.lockKey(sel.X) + "." + guard, true
 }
 
 func isUnlockName(name string) bool { return name == "Unlock" || name == "RUnlock" }
@@ -424,27 +388,11 @@ func (fa *funcLockAnalysis) scanExpr(e ast.Expr, st *lockState) {
 				return
 			}
 		}
-		if key, ok := fa.lockHelperKey(e); ok {
-			// A plain (non-deferred) call to a locks-annotated helper:
-			// the lock is held from here; the helper hands its caller
-			// the release, which this intra-procedural model cannot
-			// track further — treat as scoped to the function.
-			st.acquire(key, e.Pos())
-			st.deferRelease(key, e.Pos())
-			return
-		}
 		fa.scanExpr(e.Fun, st)
 		for _, a := range e.Args {
 			fa.scanExpr(a, st)
 		}
 	case *ast.SelectorExpr:
-		if isUnlockName(e.Sel.Name) && fa.isMutexExpr(e.X) {
-			// A bound unlock method value (`return c.mu.Unlock`):
-			// release ownership transfers to whoever calls it.
-			fa.scanExpr(e.X, st)
-			st.release(fa.lockKey(e.X))
-			return
-		}
 		fa.checkAccess(e, st)
 		fa.scanExpr(e.X, st)
 	case *ast.FuncLit:

@@ -33,7 +33,7 @@ var ruleTable = []ruleInfo{
 	{"SQ011", "unlock-path soundness: every Lock/RLock is released on all CFG paths out of the function, via defer or a post-dominating Unlock", (*linter).checkSQ011},
 	{"SQ012", "eps-budget propagation: a Merge implementation must derive the result eps via max/documented additive helpers, never copy one operand's eps or a fresh literal", (*linter).checkSQ012},
 	{"SQ014", "memory placement: no package-level atomics on the internal/sharded write path", (*linter).checkSQ014},
-	{"SQ015", "fan-out discipline: goroutine spawns in internal/sharded and internal/checkpoint bound loop fan-out by runtime.GOMAXPROCS, join every spawn on all paths out (a deferred Wait counts), and never discard a worker's error", (*linter).checkSQ015},
+	{"SQ015", "fan-out discipline: goroutine spawns in internal/sharded and internal/checkpoint bound loop fan-out by runtime.GOMAXPROCS, join every spawn with a deferred Wait in the spawning function, and never discard a worker's error", (*linter).checkSQ015},
 }
 
 // isInternalPkg reports whether p is an algorithm-side package, i.e.

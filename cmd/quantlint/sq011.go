@@ -6,9 +6,7 @@ package main
 // dataflow (locks.go): a Lock/RLock with some function exit it can
 // reach while still held — no defer, no post-dominating Unlock. The
 // finding anchors at the acquire site (the fix belongs there: defer the
-// unlock), deduplicated across the exits that leak it. Returning the
-// bound unlock method value (`return c.mu.Unlock`) transfers release
-// ownership to the caller and counts as a release.
+// unlock), deduplicated across the exits that leak it.
 func (l *linter) checkSQ011() {
 	for _, p := range l.pkgs {
 		for _, f := range l.lockAnalysis(p).sq011 {

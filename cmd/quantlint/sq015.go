@@ -7,11 +7,11 @@ import (
 	"go/token"
 )
 
-// sq015Pkgs are the packages that spawn goroutines on the save/recover
-// path (DESIGN.md "Checkpoint parallelism"): the sharded codec's worker
-// pool and the recovery prefetch pipeline. A fan-out there runs while a
-// caller holds topology locks and while shard locks are taken and
-// released per worker, so the discipline is strict — see fanout
+// sq015Pkgs are the packages on the save/recover path (DESIGN.md
+// "Checkpoint parallelism"). Only the sharded containers' worker pool
+// spawns goroutines there; a fan-out runs while a caller holds
+// topology locks and while shard locks are taken and released per
+// worker, so the discipline is strict — see fanout
 // (internal/sharded/parallel.go) for the reference shape.
 var sq015Pkgs = []string{"internal/sharded", "internal/checkpoint"}
 
@@ -22,17 +22,17 @@ var sq015Pkgs = []string{"internal/sharded", "internal/checkpoint"}
 //     runtime.GOMAXPROCS: the spawn count then tracks the input (shard
 //     count, candidate count) instead of the machine, and a 64-shard
 //     save on a 1-core box would thrash 64 goroutines through one core;
-//   - a spawn with no join on some path out of the function: every
-//     `go` needs a WaitGroup Wait that post-dominates it, or a deferred
-//     Wait — an unjoined worker can outlive the topology lock its
-//     caller holds and touch freed shard state (a deferred Wait
-//     anywhere in the function counts, matching RecoverObserved);
+//   - a spawn in a function with no deferred `.Wait()`: the deferred
+//     join runs on every path out, a panic included, so no worker can
+//     outlive the topology lock its caller holds and touch freed shard
+//     state;
 //   - `_ = f(...)` inside the spawned closure: a worker's error must
 //     land in a per-index slot (or a channel) and the first failure
 //     propagate after the join, never be dropped on the floor.
 //
-// Like SQ006, the checks are syntactic evidence of attention — the
-// crash matrix and the race-mode property tests prove the behaviour.
+// Like SQ006, the checks are syntactic evidence of attention —
+// internal/sharded's parallel_test.go, the crash matrix and the
+// race-mode property tests prove the behaviour.
 func (l *linter) checkSQ015() {
 	for _, p := range l.pkgs {
 		if !exempt(p.rel, sq015Pkgs) {
@@ -52,8 +52,8 @@ func (l *linter) checkSQ015() {
 
 // sq015Body audits one function-like body: the spawn sites at this
 // nesting level, then each closure body as its own level (a closure
-// runs under its own control flow, so its spawns are judged against its
-// own joins). spawned marks a body that is itself the function of a
+// runs under its own control flow, so its spawns need their own
+// deferred Wait). spawned marks a body that is itself the function of a
 // `go` statement — the level where a discarded error check applies.
 func (l *linter) sq015Body(fnName string, body *ast.BlockStmt, spawned bool) {
 	var gos []*ast.GoStmt
@@ -92,24 +92,14 @@ func (l *linter) sq015Body(fnName string, body *ast.BlockStmt, spawned bool) {
 		}
 		return true
 	})
-	var cfg *funcCFG
 	for _, g := range gos {
 		if sq015InLoop(loops, g.Pos()) && !gomax {
 			l.report(g.Pos(), "SQ015", fmt.Sprintf(
 				"goroutine spawned in a loop in %s with no runtime.GOMAXPROCS bound in the function: fan-out width must track the machine's cores, not the input's size (see fanout)", fnName))
 		}
-		if deferredWait {
-			continue // a deferred Wait joins every exit, success or panic
-		}
-		if cfg == nil {
-			cfg = buildCFG(body)
-		}
-		if cfg.broken {
-			continue
-		}
-		if !sq015Joined(cfg, g) {
+		if !deferredWait {
 			l.report(g.Pos(), "SQ015", fmt.Sprintf(
-				"goroutine spawned in %s is not joined on every path out of the function: make a WaitGroup Wait post-dominate the spawn, or defer it — an unjoined worker outlives the locks its caller holds", fnName))
+				"goroutine spawned in %s with no deferred Wait in the function: defer the WaitGroup's Wait so every path out joins the workers — an unjoined worker outlives the locks its caller holds", fnName))
 		}
 	}
 	for _, fl := range lits {
@@ -153,77 +143,4 @@ func sq015BlankCall(s *ast.AssignStmt) bool {
 		}
 	}
 	return true
-}
-
-// sq015Joined walks the CFG from just past the spawn: every path to a
-// function exit must pass a `.Wait()` call first. Back-edges count as
-// joined — a loop's exit path is audited on its own.
-func sq015Joined(cfg *funcCFG, g *ast.GoStmt) bool {
-	for _, b := range cfg.blocks {
-		for i, n := range b.nodes {
-			if n == ast.Node(g) {
-				j := &sq015join{memo: map[*cfgBlock]bool{}}
-				return j.from(b, i+1)
-			}
-		}
-	}
-	// The spawn was swallowed by an opaque construct (a select arm,
-	// say): fall back to requiring any Wait in the body at all.
-	for _, b := range cfg.blocks {
-		for _, n := range b.nodes {
-			if sq015NodeWaits(n) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-type sq015join struct {
-	memo map[*cfgBlock]bool
-}
-
-func (j *sq015join) from(b *cfgBlock, start int) bool {
-	for i := start; i < len(b.nodes); i++ {
-		if sq015NodeWaits(b.nodes[i]) {
-			return true
-		}
-	}
-	if b.terminal || len(b.succs) == 0 {
-		return false // a function exit reached without a join
-	}
-	for _, s := range b.succs {
-		if !j.block(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func (j *sq015join) block(b *cfgBlock) bool {
-	if v, ok := j.memo[b]; ok {
-		return v
-	}
-	j.memo[b] = true // optimistic on back-edges; the exit path decides
-	v := j.from(b, 0)
-	j.memo[b] = v
-	return v
-}
-
-// sq015NodeWaits reports whether a CFG node contains a `.Wait()` call
-// outside any nested closure.
-func sq015NodeWaits(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if sq015IsWait(m) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -115,6 +115,45 @@ func TestRecoverSkipsCorruptNewestGeneration(t *testing.T) {
 	}
 }
 
+// openCounter records every file a recovery opens.
+type openCounter struct {
+	checkpoint.FS
+	opened []string
+}
+
+func (c *openCounter) Open(name string) (checkpoint.File, error) {
+	c.opened = append(c.opened, filepath.Base(name))
+	return c.FS.Open(name)
+}
+
+// TestRecoverOpensOnlyIntactNewest pins the scan's stopping rule: when
+// the newest of the kept generations validates, recovery reads that one
+// file and no older one.
+func TestRecoverOpensOnlyIntactNewest(t *testing.T) {
+	mem := faultio.NewMemFS()
+	ck := openMem(t, mem)
+	for _, state := range []string{"oldest", "older", "newest"} {
+		if _, err := ck.Save("x", []byte(state)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, _ := mem.ReadDir(dir)
+	if len(names) != 3 {
+		t.Fatalf("kept %d generations %v, want 3", len(names), names)
+	}
+	fs := &openCounter{FS: mem}
+	got, report, err := checkpoint.Recover(fs, dir, func(string, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "newest" || len(report.Skipped) != 0 {
+		t.Fatalf("recovered %q, report %+v", got, report)
+	}
+	if len(fs.opened) != 1 || fs.opened[0] != report.File {
+		t.Fatalf("recovery opened %v, want only %s", fs.opened, report.File)
+	}
+}
+
 func TestRecoverRejectsByValidator(t *testing.T) {
 	fs := faultio.NewMemFS()
 	ck := openMem(t, fs)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -53,7 +52,7 @@ type CandidateTiming struct {
 	File       string
 	Generation uint64
 	// Decode is the wall time the caller measured around the Validator
-	// call (frame read and CRC verification are pipelined ahead of it).
+	// call (the frame read and CRC verification happen before it).
 	Decode time.Duration
 	// Loaded reports whether this candidate became the recovery target.
 	Loaded bool
@@ -97,14 +96,10 @@ func Recover(fs FS, dir string, validate Validator) ([]byte, *RecoveryReport, er
 }
 
 // RecoverObserved is Recover with a per-candidate observer bracketing
-// each Validator call (nil behaves exactly like Recover).
-//
-// Recovery is pipelined: a single prefetch goroutine reads the next
-// candidate's frame and verifies both CRC32C codes while the calling
-// goroutine runs the Validator — typically the expensive payload decode
-// — on the current one, so I/O + checksumming overlap decoding instead
-// of serializing with it. The prefetch goroutine is always joined
-// before return, on success and error paths alike.
+// each Validator call (nil behaves exactly like Recover). Candidates are
+// read, CRC-checked and validated one at a time, newest first, and the
+// scan stops at the first that passes: when the newest generation is
+// intact, no older file is opened.
 func RecoverObserved(fs FS, dir string, validate Validator, obs CandidateObserver) ([]byte, *RecoveryReport, error) {
 	report := &RecoveryReport{}
 	names, err := fs.ReadDir(dir)
@@ -123,39 +118,8 @@ func RecoverObserved(fs FS, dir string, validate Validator, obs CandidateObserve
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].gen > cands[j].gen })
 
-	// The prefetch stage: frames arrive read and CRC-verified over a
-	// one-deep channel, newest first. On every path out the deferred
-	// pair runs close(stop) first (defers are LIFO), unblocking a
-	// prefetch parked mid-send, then wg.Wait joins the goroutine — no
-	// leak on success, rejection-exhaustion or panic.
-	type fetched struct {
-		idx     int
-		payload []byte
-		label   string
-		err     error
-	}
-	frames := make(chan fetched, 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(frames)
-		for i, cand := range cands {
-			payload, label, err := readGen(fs, filepath.Join(dir, cand.name), cand.gen)
-			select {
-			case frames <- fetched{i, payload, label, err}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	for f := range frames {
-		cand := cands[f.idx]
-		err := f.err
+	for _, cand := range cands {
+		payload, label, err := readGen(fs, filepath.Join(dir, cand.name), cand.gen)
 		if err == nil && validate != nil {
 			done := func() {}
 			if obs != nil {
@@ -163,7 +127,7 @@ func RecoverObserved(fs FS, dir string, validate Validator, obs CandidateObserve
 					done = d
 				}
 			}
-			err = validate(f.label, f.payload)
+			err = validate(label, payload)
 			done()
 		}
 		if err != nil {
@@ -175,8 +139,8 @@ func RecoverObserved(fs FS, dir string, validate Validator, obs CandidateObserve
 		report.Loaded = true
 		report.Generation = cand.gen
 		report.File = cand.name
-		report.Label = f.label
-		return f.payload, report, nil
+		report.Label = label
+		return payload, report, nil
 	}
 	return nil, report, fmt.Errorf("%w in %s (%d file(s) rejected)", ErrNoCheckpoint, dir, len(report.Skipped))
 }

@@ -1,9 +1,7 @@
-// Parallel fan-out for the sharded codec: the worker pool that lets
-// MarshalBinary and UnmarshalBinary dispatch per-shard work across
-// cores. The pool shape matches forShards
-// (query.go): GOMAXPROCS-bounded, work-stealing over an atomic cursor,
-// calling goroutine participating, every spawned goroutine joined
-// before return.
+// The one worker pool of the sharded containers: the codec's per-shard
+// marshal and decode and the query path's per-shard fold both run
+// through fanout. It is the only place in the library that starts a
+// goroutine.
 package sharded
 
 import (
@@ -13,14 +11,16 @@ import (
 )
 
 // fanout runs fn(0 … n−1) on a worker pool of min(workers, GOMAXPROCS,
-// n) goroutines; workers ≤ 0 means GOMAXPROCS. Unlike forShards it
-// collects errors: every index runs to completion (a failed shard does
-// not cancel its siblings — each holds its own lock for a bounded,
-// small amount of work), all spawned goroutines are joined on every
-// path, and the error at the lowest index wins, so the result is
-// deterministic regardless of scheduling and identical to what a
-// sequential left-to-right loop would report.
-func fanout(n, workers int, fn func(i int) error) error {
+// n) goroutines; workers ≤ 0 means GOMAXPROCS. The calling goroutine is
+// one of the workers, the others pull indices from a shared atomic
+// cursor, and a deferred Wait joins them on every path out, a panic
+// included. With more than one worker every index runs exactly once (a
+// failed shard does not cancel its siblings — each holds its own lock
+// for a bounded, small amount of work) and the error at the lowest
+// index wins, so the result is deterministic regardless of scheduling.
+// A lone worker runs the indices in order and stops at the first
+// error, which is the same error.
+func fanout(n, workers int, fn func(i int) error) (err error) {
 	if n <= 0 {
 		return nil
 	}
@@ -40,6 +40,14 @@ func fanout(n, workers int, fn func(i int) error) error {
 		return nil
 	}
 	errs := make([]error, n)
+	defer func() {
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				return
+			}
+		}
+	}()
 	var next atomic.Int64
 	work := func() {
 		for {
@@ -51,6 +59,7 @@ func fanout(n, workers int, fn func(i int) error) error {
 		}
 	}
 	var wg sync.WaitGroup
+	defer wg.Wait() // deferred last, so it runs before the scan above
 	wg.Add(w - 1)
 	for g := 1; g < w; g++ {
 		go func() {
@@ -59,11 +68,5 @@ func fanout(n, workers int, fn func(i int) error) error {
 		}()
 	}
 	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }

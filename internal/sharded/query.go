@@ -3,7 +3,6 @@ package sharded
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -241,24 +240,22 @@ func mergedFold(g *generation) (core.Summary, []uint64, error) {
 	p := len(g.shards)
 	epochs := make([]uint64, p)
 	parts := make([]core.Summary, p)
-	var failed atomic.Bool
-	forShards(p, func(i int) {
+	err := fanout(p, 0, func(i int) error {
 		m := g.fresh()
 		mg, ok := m.(core.Mergeable)
 		if !ok {
-			failed.Store(true)
-			return
+			return fmt.Errorf("%T is not mergeable", m)
 		}
 		var err error
 		epochs[i] = g.withShard(i, func(s core.Summary) { err = mg.MergeSummary(s) })
-		if err != nil {
-			failed.Store(true)
-			return
-		}
 		parts[i] = m
+		return err
 	})
-	if failed.Load() || !mergeTree(parts) {
-		return nil, nil, fmt.Errorf("sharded: shard fold merge failed")
+	if err == nil {
+		err = mergeTree(parts)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("sharded: shard fold merge failed: %w", err)
 	}
 	return parts[0], epochs, nil
 }
@@ -280,24 +277,21 @@ func rebuildCombined(g *generation) *combinedEntry {
 
 // mergeTree pairwise-reduces parts into parts[0]: round r merges
 // partials 2ʳ apart, every pair in parallel.
-func mergeTree(parts []core.Summary) bool {
-	var failed atomic.Bool
+func mergeTree(parts []core.Summary) error {
 	for stride := 1; stride < len(parts); stride *= 2 {
 		var dsts []int
 		for i := 0; i+stride < len(parts); i += 2 * stride {
 			dsts = append(dsts, i)
 		}
-		forShards(len(dsts), func(j int) {
+		err := fanout(len(dsts), 0, func(j int) error {
 			i := dsts[j]
-			if parts[i].(core.Mergeable).MergeSummary(parts[i+stride]) != nil {
-				failed.Store(true)
-			}
+			return parts[i].(core.Mergeable).MergeSummary(parts[i+stride])
 		})
-		if failed.Load() {
-			return false
+		if err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
 // rebuildSnaps flattens every shard into an exact snapshot, in
@@ -307,19 +301,20 @@ func rebuildSnaps(g *generation) *combinedEntry {
 	p := len(g.shards)
 	e := &combinedEntry{epochs: make([]uint64, p), snaps: make([]*core.QuerySnapshot, p)}
 	ns := make([]int64, p)
-	var failed atomic.Bool
-	forShards(p, func(i int) {
+	err := fanout(p, 0, func(i int) error {
+		var err error
 		e.epochs[i] = g.withShard(i, func(s core.Summary) {
 			ss, ok := s.(core.Snapshotter)
 			if !ok {
-				failed.Store(true)
+				err = fmt.Errorf("%T has no query snapshot", s)
 				return
 			}
 			ns[i] = s.Count()
 			e.snaps[i] = core.BuildQuerySnapshot(ss)
 		})
+		return err
 	})
-	if failed.Load() {
+	if err != nil {
 		return nil
 	}
 	for _, n := range ns {
@@ -518,38 +513,3 @@ type descentScratch struct {
 }
 
 var descentPool = sync.Pool{New: func() any { return new(descentScratch) }}
-
-// forShards runs fn(0 … p−1) on a worker pool bounded by the machine
-// size; the calling goroutine participates.
-func forShards(p int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p {
-		workers = p
-	}
-	if workers <= 1 {
-		for i := 0; i < p; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= p {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}

@@ -190,8 +190,8 @@ func TestCrashRecoveryDuringParallelSave(t *testing.T) {
 				if err := rec.Invariants(); err != nil {
 					t.Fatalf("recovered container invariants: %v", err)
 				}
-				// Per-candidate decode timing reaches the report when the
-				// pipelined recovery runs validation.
+				// Per-candidate decode timing reaches the report when
+				// recovery runs validation.
 				if len(report.Candidates) == 0 {
 					t.Fatal("report carries no candidate timings")
 				}
