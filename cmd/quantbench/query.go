@@ -124,7 +124,7 @@ func measureQuery(m *meter, data []uint64) {
 	}
 
 	// Cold queries re-fold all shards: a run merge for KLL, per-shard
-	// snapshots for GKArray, a parallel merge tree for DCS.
+	// snapshots for GKArray, a counter sum into a recycled target for DCS.
 	for _, tc := range []struct {
 		name  string
 		setup func() (query func(), dirty func())

@@ -48,6 +48,17 @@ type Mergeable interface {
 	MergeSummary(other Summary) error
 }
 
+// Linear is implemented by the linear sketches (the dyadic family):
+// summaries whose whole state is a set of counters that merge by
+// addition, so equally configured instances sum to the summary of the
+// union of their streams in any order. Reset zeroes the counters and
+// keeps the configuration and hash functions, so one instance can
+// absorb a new sum of merges without being rebuilt.
+type Linear interface {
+	Mergeable
+	Reset()
+}
+
 // Retargetable is implemented by mergeable summaries that can absorb a
 // summary built with a DIFFERENT error budget — the rebuild-through-
 // merge primitive behind online re-ε migration. RetargetMerge widens

@@ -137,9 +137,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	for l := range s.lvls {
 		if s.lvls[l].exact != nil {
-			for i, v := range other.lvls[l].exact {
-				s.lvls[l].exact[i] += v
-			}
+			freqsketch.AddCounters(s.lvls[l].exact, other.lvls[l].exact)
 			continue
 		}
 		var err error
@@ -159,4 +157,19 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.n += other.n
 	return nil
+}
+
+// Reset implements core.Linear: it zeroes every level's counters and
+// the count, keeping the configuration and hash functions, so s equals
+// a freshly built sketch of the same configuration and can absorb a new
+// sum of merges.
+func (s *Sketch) Reset() {
+	for _, lv := range s.lvls {
+		if lv.exact != nil {
+			clear(lv.exact)
+		} else {
+			lv.sk.Reset()
+		}
+	}
+	s.n = 0
 }

@@ -1,6 +1,7 @@
 package dyadic
 
 import (
+	"bytes"
 	"testing"
 
 	"streamquantiles/internal/core"
@@ -64,6 +65,36 @@ func TestMergeEqualsUnion(t *testing.T) {
 			if a.Quantile(phi) != whole.Quantile(phi) {
 				t.Fatalf("%v: merged quantile(%v) differs from whole-stream", k, phi)
 			}
+		}
+	}
+}
+
+// TestResetEqualsFresh pins core.Linear's Reset: a loaded sketch,
+// reset, encodes byte for byte like a freshly built one (sketched and
+// exact levels alike, every per-level sketch kind), and a reset target
+// that absorbs merges equals the sketch of the merged streams.
+func TestResetEqualsFresh(t *testing.T) {
+	data := streamgen.Generate(streamgen.Uniform{Bits: 20, Seed: 103}, 15000)
+	for _, k := range kinds() {
+		fresh := func() *Sketch { return New(k, 0.02, 20, Config{Seed: 6}) }
+		s := fresh()
+		feed(s, data)
+		s.Reset()
+		got, _ := s.MarshalBinary()
+		want, _ := fresh().MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: a reset sketch differs from a fresh one", k)
+		}
+		part, whole := fresh(), fresh()
+		feed(part, data)
+		feed(whole, data)
+		if err := s.Merge(part); err != nil {
+			t.Fatalf("%v: merge into a reset sketch: %v", k, err)
+		}
+		got, _ = s.MarshalBinary()
+		want, _ = whole.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: a reset target's merge differs from the whole-stream sketch", k)
 		}
 	}
 }

@@ -100,11 +100,7 @@ func (cm *CountMin) Merge(other *CountMin) error {
 		return fmt.Errorf("freqsketch: cannot merge CountMin(w=%d,d=%d,seed=%d) with (w=%d,d=%d,seed=%d)",
 			cm.w, cm.d, cm.seed, other.w, other.d, other.seed)
 	}
-	for i := range cm.rows {
-		for j := range cm.rows[i] {
-			cm.rows[i][j] += other.rows[i][j]
-		}
-	}
+	addRows(cm.rows, other.rows)
 	return nil
 }
 
@@ -137,11 +133,7 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	if cs.w != other.w || cs.d != other.d || cs.seed != other.seed {
 		return fmt.Errorf("freqsketch: cannot merge mismatched CountSketch instances")
 	}
-	for i := range cs.rows {
-		for j := range cs.rows[i] {
-			cs.rows[i][j] += other.rows[i][j]
-		}
-	}
+	addRows(cs.rows, other.rows)
 	return nil
 }
 
@@ -174,10 +166,42 @@ func (r *RSS) Merge(other *RSS) error {
 	if r.w != other.w || r.d != other.d || r.seed != other.seed {
 		return fmt.Errorf("freqsketch: cannot merge mismatched RSS instances")
 	}
-	for i := range r.rows {
-		for j := range r.rows[i] {
-			r.rows[i][j] += other.rows[i][j]
-		}
-	}
+	addRows(r.rows, other.rows)
 	return nil
+}
+
+// Reset zeroes cm's counters, keeping its dimensions and hash
+// functions: the result equals a freshly built sketch with the same
+// seed, ready to absorb merges again.
+func (cm *CountMin) Reset() { clearRows(cm.rows) }
+
+// Reset zeroes cs's counters, keeping its dimensions and hash functions.
+func (cs *CountSketch) Reset() { clearRows(cs.rows) }
+
+// Reset zeroes r's counters, keeping its dimensions and hash functions.
+func (r *RSS) Reset() { clearRows(r.rows) }
+
+// AddCounters adds src into dst element-wise; src must be at least as
+// long as dst. It is the one kernel behind every linear merge (the
+// three sketches here and the dyadic exact levels): re-slicing src to
+// dst's length lets the compiler drop the bounds check from the loop.
+func AddCounters(dst, src []int64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
+// addRows adds every row of src into the matching row of dst.
+func addRows(dst, src [][]int64) {
+	for i, row := range dst {
+		AddCounters(row, src[i])
+	}
+}
+
+// clearRows zeroes every row.
+func clearRows(rows [][]int64) {
+	for _, row := range rows {
+		clear(row)
+	}
 }

@@ -44,6 +44,9 @@ type Sketch interface {
 	VarianceEstimate() float64
 	// SpaceBytes reports the size under the 4-byte-word convention.
 	SpaceBytes() int64
+	// Reset zeroes every counter, keeping the dimensions and hash
+	// functions (see codec.go).
+	Reset()
 }
 
 func checkDims(w, d int) {

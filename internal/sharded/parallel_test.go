@@ -26,7 +26,7 @@ func TestFanoutContract(t *testing.T) {
 		{3, 0, 3},
 	} {
 		t.Run(fmt.Sprintf("n=%d/workers=%d", tc.n, tc.workers), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines(t)
 			runs := make([]atomic.Int32, tc.n)
 			var inFlight, peak atomic.Int32
 			err := fanout(tc.n, tc.workers, func(i int) error {
@@ -65,4 +65,25 @@ func TestFanoutContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has read the
+// same over three 1-ms polls in a row. Goroutines of earlier tests and
+// subtests can still be exiting when a subtest starts, and a count
+// taken while one does would later read as a leak, or mask one.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline, same := time.Now().Add(time.Second), 0; same < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count did not settle within 1s (now %d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

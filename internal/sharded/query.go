@@ -32,10 +32,17 @@ import (
 //     during the merge, and the shards need not merge as summaries:
 //     differently seeded shards and frozen finer-ε components fold the
 //     same way.
-//   - Other mergeable families (q-digest, the dyadic sketches): one
-//     worker per shard merges that shard into its own fresh summary
-//     (holding only that shard's lock), then the P partials reduce
-//     pairwise in ⌈log₂P⌉ parallel rounds.
+//   - Linear families (core.Linear: the dyadic sketches): one target
+//     sketch with zeroed counters absorbs every shard in turn, each
+//     added under its own lock. Equally seeded linear sketches sum to
+//     the sketch of the union, so the target's counters, and every
+//     answer, equal the unsharded sketch's. The target is recycled
+//     from the previous entry once no reader holds it (see pin), so a
+//     re-fold builds no fresh summary.
+//   - Other mergeable families (q-digest): one worker per shard merges
+//     that shard into its own fresh summary (holding only that shard's
+//     lock), then the P partials reduce pairwise in ⌈log₂P⌉ parallel
+//     rounds (mergedFold, mergeTree).
 //   - Other families with exact snapshots (the GK tuple summaries): one
 //     snapshot per shard, combined by additive rank.
 //
@@ -55,10 +62,12 @@ import (
 // probed once per factory (construction, Retarget, decode).
 type foldCaps struct {
 	// mergeable: the factory's summaries fold into one via
-	// core.Mergeable. snapAll: they flatten exactly via
+	// core.Mergeable. linear: they also sum into a reset target
+	// (core.Linear). snapAll: they flatten exactly via
 	// core.Snapshotter. runs: they list their samples as sorted runs
 	// (core.RunLister).
 	mergeable bool
+	linear    bool
 	snapAll   bool
 	runs      bool
 }
@@ -79,6 +88,8 @@ func probeCaps(fresh func() core.Summary) (foldCaps, error) {
 	if m, ok := a.(core.Mergeable); ok {
 		caps.mergeable = m.MergeSummary(b) == nil
 	}
+	_, linear := a.(core.Linear)
+	caps.linear = caps.mergeable && linear
 	return caps, nil
 }
 
@@ -99,6 +110,9 @@ type epsReporter interface{ Eps() float64 }
 type queryCache struct {
 	mu  sync.Mutex // serializes rebuilds
 	cur atomic.Pointer[combinedEntry]
+	// spare is the retired linear entry whose target the next linear
+	// rebuild may recycle (see rebuildLinear).
+	spare *combinedEntry // guarded by mu
 }
 
 // invalidate drops the cached fold. Elastic operations call it under
@@ -122,13 +136,16 @@ func (q *queryCache) invalidate() { q.cur.Store(nil) }
 // when present, ranks add their contribution and quantiles go through
 // the rank descent over the combined estimate.
 //
-// All artifacts are immutable once built, so queries are lock-free.
-// For the same reason a retired entry is never recycled into a pool:
-// a reader that loaded it just before the epoch bump may still be
-// mid-query, so its arrays must stay untouched until the GC reclaims
-// them. Pooling on this path is confined to per-call scratch
-// (core.FoldRuns, descentPool, rankBufPool), which never escapes its
-// function.
+// All artifacts are immutable while readers can reach them, so queries
+// are lock-free. A reader that loaded an entry just before the epoch
+// bump may still be mid-query, so a retired entry's arrays stay
+// untouched until the GC reclaims them — with one exception: a linear
+// entry's target sum is recycled by a later rebuild, and readers pin
+// such an entry (pin, release) so that no rebuild resets a target
+// while a reader still queries it. Entries of every other shape are
+// never recycled and never pinned. Pooling elsewhere on this path is
+// confined to per-call scratch (core.FoldRuns, descentPool,
+// rankBufPool), which never escapes its function.
 type combinedEntry struct {
 	genID  uint64   // topology generation at fold time
 	retVer uint64   // retired-component version at fold time
@@ -138,21 +155,28 @@ type combinedEntry struct {
 	sum    core.Summary
 	snaps  []*core.QuerySnapshot
 	comps  []*retiredComp
+	// linear marks sum as a recyclable counter-sum target; pins counts
+	// the readers that hold such an entry.
+	linear bool
+	pins   atomic.Int32
 }
 
 // entry returns a fold of the container valid for its current topology
 // and epochs, rebuilding at most once per write generation; nil when
 // the family has no cached artifact (a lone shard without a snapshot,
-// or GKBiased) and the caller must query the live shards itself.
+// or GKBiased) and the caller must query the live shards itself. The
+// entry comes pinned: the caller queries it, then calls release.
 func (q *queryCache) entry(c *container) *combinedEntry {
-	if e := q.cur.Load(); e != nil && e.validFor(c) {
+	if e := q.cur.Load(); e != nil && e.validFor(c) && q.pin(e) {
 		return e
 	}
 	c.topo.RLock()
 	defer c.topo.RUnlock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if e := q.cur.Load(); e != nil && e.validFor(c) {
+	// Under q.mu no rebuild can retire the current entry (invalidate
+	// needs the topology write lock), so these pins always hold.
+	if e := q.cur.Load(); e != nil && e.validFor(c) && q.pin(e) {
 		return e // another query rebuilt first
 	}
 	g := c.gen.Load()
@@ -166,7 +190,11 @@ func (q *queryCache) entry(c *container) *combinedEntry {
 	case g.caps.runs:
 		e = rebuildRuns(g, comps)
 	default:
-		if g.caps.mergeable {
+		switch {
+		case g.caps.linear:
+			e = rebuildLinear(g, q.spare)
+			q.spare = nil
+		case g.caps.mergeable:
 			e = rebuildCombined(g)
 		}
 		if e == nil && g.caps.snapAll {
@@ -184,8 +212,39 @@ func (q *queryCache) entry(c *container) *combinedEntry {
 	for _, comp := range e.comps {
 		e.n += comp.n
 	}
+	if old := q.cur.Load(); old != nil && old.linear {
+		q.spare = old
+	}
 	q.cur.Store(e)
+	q.pin(e)
 	return e
+}
+
+// pin makes e safe to query until release. Only a linear entry needs
+// it: a rebuild recycles the target of a retired linear entry, but
+// only after reading its pin count as 0, and an entry retires only
+// when a newer one is published. The reader raises the count before it
+// checks that e is still current, so either the rebuild sees the pin
+// and builds a fresh target, or the reader sees e retired, drops the
+// pin and takes the rebuild path. pin reports whether e may be
+// queried.
+func (q *queryCache) pin(e *combinedEntry) bool {
+	if !e.linear {
+		return true
+	}
+	e.pins.Add(1)
+	if q.cur.Load() == e {
+		return true
+	}
+	e.pins.Add(-1)
+	return false
+}
+
+// release ends a query pinned by entry.
+func (e *combinedEntry) release() {
+	if e.linear {
+		e.pins.Add(-1)
+	}
 }
 
 // validFor reports whether nothing observable changed since the fold:
@@ -234,8 +293,45 @@ func rebuildRuns(g *generation, comps []*retiredComp) *combinedEntry {
 	return e
 }
 
+// rebuildLinear folds a linear generation by one counter sum into a
+// target: the spare entry's when it was built for this generation and
+// no reader holds it (its counters are reset first), a fresh summary
+// otherwise. The caller holds the cache's rebuild lock and drops the
+// spare, whose target this entry may now own.
+func rebuildLinear(g *generation, spare *combinedEntry) *combinedEntry {
+	var sum core.Summary
+	if spare != nil && spare.genID == g.id && spare.pins.Load() == 0 {
+		sum = spare.sum
+		sum.(core.Linear).Reset()
+	} else {
+		sum = g.fresh()
+	}
+	e := &combinedEntry{epochs: make([]uint64, len(g.shards)), sum: sum, linear: true}
+	if sumShards(g, sum.(core.Linear), e.epochs) != nil {
+		return nil
+	}
+	e.n = sum.Count()
+	return e
+}
+
+// sumShards adds every shard of g into target (zeroed counters), one
+// shard at a time under that shard's lock, recording in epochs the
+// write epoch read with each. The target then holds the sketch of the
+// whole stream.
+func sumShards(g *generation, target core.Linear, epochs []uint64) error {
+	for i := range g.shards {
+		var err error
+		epochs[i] = g.withShard(i, func(s core.Summary) { err = target.MergeSummary(s) })
+		if err != nil {
+			return fmt.Errorf("sharded: shard %d sum failed: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // mergedFold folds all shards of g into one fresh summary by parallel
-// tree-merge.
+// tree-merge. It serves the mergeable families that are not linear
+// (q-digest), through rebuildCombined.
 func mergedFold(g *generation) (core.Summary, []uint64, error) {
 	p := len(g.shards)
 	epochs := make([]uint64, p)

@@ -17,13 +17,14 @@
 // Queries combine the shards within the composed error bound
 // Σ εᵢnᵢ ≤ εn: the sampling summaries that list sorted runs (KLL,
 // MRL99, Random) fold into one snapshot by a single merge of every
-// shard's runs; the other mergeable summaries (the dyadic linear
-// sketches, q-digest) fold into one fresh summary which answers
-// directly; the rest (the GK family) combine by additive rank
-// estimation — the summed per-shard rank estimate tracks the true
-// combined rank everywhere within the summed estimate errors (at most
-// 2εn + P for GK's midpoint estimator, far less in practice), and a
-// 64-bit bitwise descent over the value domain inverts it. A lone shard
+// shard's runs; the dyadic linear sketches sum their counters into one
+// reused target sketch, exactly the unsharded sketch, which answers
+// directly; q-digest merges into one fresh summary; the rest (the GK
+// family) combine by additive rank estimation — the summed per-shard
+// rank estimate tracks the true combined rank everywhere within the
+// summed estimate errors (at most 2εn + P for GK's midpoint estimator,
+// far less in practice), and a 64-bit bitwise descent over the value
+// domain inverts it. A lone shard
 // answers by itself, which makes a one-shard container (Sole) the
 // engine of the goroutine-safe wrappers.
 //
@@ -253,6 +254,7 @@ func (c *container) countLocked() int64 {
 // parts counts live shards plus frozen components (Components).
 func (c *container) Rank(x uint64) int64 {
 	if e := c.q.entry(c); e != nil {
+		defer e.release()
 		return e.rank(x)
 	}
 	c.topo.RLock()
@@ -263,6 +265,7 @@ func (c *container) Rank(x uint64) int64 {
 // RankBatch implements core.QuantileBatcher.
 func (c *container) RankBatch(xs []uint64) []int64 {
 	if e := c.q.entry(c); e != nil {
+		defer e.release()
 		return e.rankBatch(xs)
 	}
 	c.topo.RLock()
@@ -307,6 +310,7 @@ func (c *container) summedRankBatchLocked(xs []uint64) []int64 {
 func (c *container) Quantile(phi float64) uint64 {
 	core.CheckPhi(phi)
 	if e := c.q.entry(c); e != nil {
+		defer e.release()
 		return e.quantile(phi)
 	}
 	c.topo.RLock()
@@ -326,6 +330,7 @@ func (c *container) QuantileBatch(phis []float64) []uint64 {
 		core.CheckPhi(phi)
 	}
 	if e := c.q.entry(c); e != nil {
+		defer e.release()
 		return e.quantileBatch(phis)
 	}
 	c.topo.RLock()

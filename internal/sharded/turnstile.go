@@ -184,9 +184,10 @@ func addBatch(s core.Turnstile, xs []uint64, delta int64) {
 // keeps every shard a valid strict-turnstile summary, and so does a
 // lone shard, so those are deep-checked individually. After a reshard
 // only the whole container is strict (see generation), so later
-// generations of several shards check the merged fold instead — for the
-// linear sketches the fold is exactly the unsharded sketch of the whole
-// stream, so the check has full strength.
+// generations of several shards check the counter sum of the shards in
+// one fresh target instead — the fold queries use, which for the linear
+// sketches is exactly the unsharded sketch of the whole stream, so the
+// check has full strength.
 func (t *Turnstile) Invariants() error {
 	t.topo.RLock()
 	defer t.topo.RUnlock()
@@ -194,8 +195,12 @@ func (t *Turnstile) Invariants() error {
 	if g.id == 0 || len(g.shards) == 1 {
 		return t.invariantsLocked()
 	}
-	sum, _, err := mergedFold(g)
-	if err != nil {
+	sum := g.fresh()
+	lin, ok := sum.(core.Linear)
+	if !ok {
+		return fmt.Errorf("sharded: post-reshard invariant fold: %T is not a linear sketch", sum)
+	}
+	if err := sumShards(g, lin, make([]uint64, len(g.shards))); err != nil {
 		return fmt.Errorf("sharded: post-reshard invariant fold: %w", err)
 	}
 	if ic, ok := sum.(invariantChecker); ok {
