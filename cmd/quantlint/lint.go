@@ -1,12 +1,7 @@
 // Engine: package discovery, parsing, ignore directives, and finding
 // bookkeeping. The rule registry lives in rules.go and each rule in its
-// own sqNNN.go file.
-//
-// Parsing is pure go/ast + go/parser; type information (typecheck.go)
-// is computed lazily, per package, only when a rule that needs it
-// (the lock rules SQ010/SQ011, SQ012's float veto) actually looks at a
-// package that uses locks or merges. Packages that never trip those
-// gates are linted exactly as cheaply as before the typed pass existed.
+// own sqNNN.go file. Every rule is syntactic: parsing is pure go/ast +
+// go/parser, with no type information.
 package main
 
 import (
@@ -15,7 +10,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -54,17 +48,9 @@ type module struct {
 
 // pkgInfo is one parsed package directory (non-test files only).
 type pkgInfo struct {
-	dir   string // absolute
 	rel   string // slash path relative to module root; "" for the root package
 	mod   *module
 	files []*ast.File
-}
-
-func (p *pkgInfo) importPath() string {
-	if p.rel == "" {
-		return p.mod.path
-	}
-	return p.mod.path + "/" + p.rel
 }
 
 // ignoreDirective is one `//lint:ignore SQxxx reason` comment. It
@@ -81,16 +67,8 @@ type linter struct {
 	fset     *token.FileSet
 	mods     map[string]*module // keyed by absolute module dir
 	pkgs     []*pkgInfo
-	byImport map[string]*pkgInfo
 	ignores  map[string]map[int][]ignoreDirective // file -> line -> directives
 	findings []finding
-
-	// Lazy typed-pass state (typecheck.go, locks.go). Nothing here is
-	// populated until a rule asks for a package's type information.
-	types    map[*pkgInfo]*typeInfo
-	checking map[*pkgInfo]bool
-	locks    map[*pkgInfo]*lockFindings
-	stdImp   types.Importer
 }
 
 // lint parses every package matched by the patterns and runs all rules.
@@ -99,21 +77,17 @@ type linter struct {
 // by position; the caller decides what to show.
 func lint(base string, patterns []string) ([]finding, error) {
 	l := &linter{
-		base:     base,
-		fset:     token.NewFileSet(),
-		mods:     map[string]*module{},
-		byImport: map[string]*pkgInfo{},
-		ignores:  map[string]map[int][]ignoreDirective{},
-		types:    map[*pkgInfo]*typeInfo{},
-		checking: map[*pkgInfo]bool{},
-		locks:    map[*pkgInfo]*lockFindings{},
+		base:    base,
+		fset:    token.NewFileSet(),
+		mods:    map[string]*module{},
+		ignores: map[string]map[int][]ignoreDirective{},
 	}
 	dirs, err := l.expand(patterns)
 	if err != nil {
 		return nil, err
 	}
 	for _, dir := range dirs {
-		if _, err := l.load(dir); err != nil {
+		if err := l.load(dir); err != nil {
 			return nil, err
 		}
 	}
@@ -202,16 +176,16 @@ func (l *linter) expand(patterns []string) ([]string, error) {
 }
 
 // load parses the non-test .go files of one directory into a pkgInfo
-// (nil if the directory holds no Go source) and records its ignore
+// (none if the directory holds no Go source) and records its ignore
 // directives.
-func (l *linter) load(dir string) (*pkgInfo, error) {
+func (l *linter) load(dir string) error {
 	mod, err := l.findModule(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var files []*ast.File
 	for _, e := range entries {
@@ -223,42 +197,23 @@ func (l *linter) load(dir string) (*pkgInfo, error) {
 		path := filepath.Join(dir, name)
 		f, err := parser.ParseFile(l.fset, path, nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		files = append(files, f)
 		l.collectIgnores(path, f)
 	}
 	if len(files) == 0 {
-		return nil, nil
+		return nil
 	}
 	rel, err := filepath.Rel(mod.dir, dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rel == "." {
 		rel = ""
 	}
-	p := &pkgInfo{dir: dir, rel: filepath.ToSlash(rel), mod: mod, files: files}
-	l.pkgs = append(l.pkgs, p)
-	l.byImport[p.importPath()] = p
-	return p, nil
-}
-
-// loadByImport returns the already-parsed package for an import path,
-// loading it on demand when the lint patterns did not cover it (the
-// typed pass follows imports wherever they point).
-func (l *linter) loadByImport(mod *module, path string) (*pkgInfo, error) {
-	if p, ok := l.byImport[path]; ok {
-		return p, nil
-	}
-	if path != mod.path && !strings.HasPrefix(path, mod.path+"/") {
-		return nil, nil
-	}
-	dir := filepath.Join(mod.dir, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, mod.path), "/")))
-	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-		return nil, nil
-	}
-	return l.load(dir)
+	l.pkgs = append(l.pkgs, &pkgInfo{rel: filepath.ToSlash(rel), mod: mod, files: files})
+	return nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and parses its

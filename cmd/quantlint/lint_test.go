@@ -97,8 +97,6 @@ func TestEachRuleFiresExactlyOnce(t *testing.T) {
 		"internal/sq003":      "SQ003",
 		"internal/sq004":      "SQ004",
 		"internal/sq006":      "SQ006",
-		"internal/sq010":      "SQ010",
-		"internal/sq011":      "SQ011",
 		"internal/sq012":      "SQ012",
 		"internal/gk":         "SQ009", // the layout rule fires at a columnar path
 		"internal/sharded":    "SQ014", // the placement rule fires at its scoped path
@@ -197,14 +195,14 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestNewRulesCleanOnRepo is the tree-health self-check for the typed
-// rules alone: the real repository must be clean under SQ010–SQ012
-// with no waivers at all (the lock and eps disciplines hold
-// everywhere, not just modulo ignores).
+// TestNewRulesCleanOnRepo is the tree-health self-check for the
+// eps-budget rule alone: the real repository must be clean under SQ012
+// with no waivers at all (the eps discipline holds everywhere, not just
+// modulo ignores).
 func TestNewRulesCleanOnRepo(t *testing.T) {
 	for _, f := range lintRepo(t) {
-		if f.Rule == "SQ010" || f.Rule == "SQ011" || f.Rule == "SQ012" {
-			t.Errorf("typed rule reports a finding on the real tree: %v", f)
+		if f.Rule == "SQ012" {
+			t.Errorf("SQ012 reports a finding on the real tree: %v", f)
 		}
 	}
 }
@@ -214,7 +212,7 @@ func TestNewRulesCleanOnRepo(t *testing.T) {
 // its meaning), each with a one-line doc and a pass.
 func TestRuleTable(t *testing.T) {
 	want := []string{"SQ001", "SQ002", "SQ003", "SQ004", "SQ006", "SQ009",
-		"SQ010", "SQ011", "SQ012", "SQ014", "SQ015"}
+		"SQ012", "SQ014", "SQ015"}
 	if len(ruleTable) != len(want) {
 		t.Fatalf("want %d registered rules, got %d", len(want), len(ruleTable))
 	}
@@ -225,79 +223,5 @@ func TestRuleTable(t *testing.T) {
 		if r.doc == "" || r.run == nil {
 			t.Errorf("%s: missing doc or run", r.id)
 		}
-	}
-}
-
-// TestStrippedDeferIsCaught is the negative control for the lock
-// analysis: copy the repository, delete the `defer sh.mu.Unlock()` of
-// generation.withShard from internal/sharded/sharded.go, and SQ011 must
-// report the leaked lock. If this test fails, the dataflow has gone
-// blind — a green SQ011 over the real tree would mean nothing.
-func TestStrippedDeferIsCaught(t *testing.T) {
-	victim := filepath.Join("internal", "sharded", "sharded.go")
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-	stripped := false
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "cmd", "testdata", ".github":
-				if rel != "." {
-					return filepath.SkipDir
-				}
-			}
-			if rel == "." {
-				return nil
-			}
-			return os.MkdirAll(filepath.Join(tmp, rel), 0o755)
-		}
-		if !strings.HasSuffix(d.Name(), ".go") && d.Name() != "go.mod" {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if rel == victim {
-			const withShard = "sh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\tfn(sh.s)"
-			const target = "defer sh.mu.Unlock()"
-			idx := strings.Index(string(data), withShard)
-			if idx < 0 {
-				t.Fatalf("%s no longer contains withShard's %q; update this test's mutation", victim, target)
-			}
-			idx += strings.Index(withShard, target)
-			data = append(data[:idx], data[idx+len(target):]...)
-			stripped = true
-		}
-		return os.WriteFile(filepath.Join(tmp, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stripped {
-		t.Fatalf("copy finished without mutating %s", victim)
-	}
-	fs, err := lint(tmp, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, f := range fs {
-		if f.Rule == "SQ011" && f.File == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("stripping a defer unlock from %s produced no SQ011 finding; got: %s", victim, render(fs, true))
 	}
 }

@@ -1,19 +1,17 @@
 // Command quantlint is the repo's static analyzer: numbered rules
 // encoding the invariants this codebase relies on but generic linters
-// cannot know, and no test can observe. SQ001–SQ004, SQ006, SQ009,
-// SQ014 and SQ015 are pure-syntax passes — seeded-randomness
-// discipline, float comparison hygiene, panic-free hot paths, the
-// internal/ layering, the decode-path hardening contract (no panics, no
-// input-sized allocations without a guard) behind durable checkpoint
-// recovery, columnar storage in the struct-of-arrays summary packages,
-// no package-level atomics on the sharded write path, and the
-// checkpoint fan-out discipline. SQ010–SQ012 are type-aware: guarded-by
-// lock discipline over `// guarded by mu` field annotations, unlock-
-// path soundness over an intra-function CFG, and ε-budget propagation
-// through Merge implementations. Properties a test pins (the
-// Invariants contract, codec parity, hot-path allocations, pool
-// pairing, the shard pad) are left to those tests. Run `quantlint
-// -rules` for the catalog.
+// cannot know, and no test can observe. All are pure-syntax passes:
+// seeded-randomness discipline (SQ001), float comparison hygiene
+// (SQ002), panic-free hot paths (SQ003), the internal/ layering (SQ004),
+// the decode-path hardening contract — no panics, no input-sized
+// allocations without a guard — behind durable checkpoint recovery
+// (SQ006), columnar storage in the struct-of-arrays summary packages
+// (SQ009), ε-budget propagation through Merge implementations (SQ012),
+// no package-level atomics on the sharded write path (SQ014), and the
+// checkpoint fan-out discipline (SQ015). Properties a test or the type
+// system pins (the Invariants contract, codec parity, hot-path
+// allocations, pool pairing, the shard pad, the shard lock discipline)
+// are left to them. Run `quantlint -rules` for the catalog.
 //
 // Usage:
 //

@@ -1,8 +1,6 @@
 // The rule registry and the syntactic helpers shared across rules.
 // Each rule lives in its own sqNNN.go analyzer unit; they share the
-// engine (lint.go), the lazy typed pass (typecheck.go), the
-// intra-function CFG (cfg.go), the guarded-by annotation tables
-// (guards.go) and the held-lock dataflow (locks.go).
+// engine (lint.go).
 package main
 
 import "strings"
@@ -19,6 +17,10 @@ type ruleInfo struct {
 // rule's number is never reused, so every //lint:ignore keeps meaning
 // what it said. SQ005, SQ007, SQ008 and SQ013 were retired for the
 // tests that pin the same properties (README "Correctness tooling").
+// SQ010 (guarded-by discipline) and SQ011 (unlock-path soundness) were
+// retired when the shard state moved into internal/sharded/cell, whose
+// unexported fields and deferred-unlock accessors make the compiler
+// enforce what the two rules checked.
 // SQ000 (malformed //lint:ignore directive) is a pseudo-rule emitted by
 // the engine itself while indexing directives, so it does not appear
 // here.
@@ -29,8 +31,6 @@ var ruleTable = []ruleInfo{
 	{"SQ004", "layering: internal/* never imports the harness, cmd/*, or the root package", (*linter).checkSQ004},
 	{"SQ006", "decode paths in internal/* never panic and never let the encoded input size an allocation without a bounding comparison", (*linter).checkSQ006},
 	{"SQ009", "memory layout: no []T over all-numeric tuple structs in the columnar packages", (*linter).checkSQ009},
-	{"SQ010", "guarded-by discipline: a read or write of a field annotated `// guarded by mu` must hold that mutex (Lock/RLock dominates the access); constructors are exempt", (*linter).checkSQ010},
-	{"SQ011", "unlock-path soundness: every Lock/RLock is released on all CFG paths out of the function, via defer or a post-dominating Unlock", (*linter).checkSQ011},
 	{"SQ012", "eps-budget propagation: a Merge implementation must derive the result eps via max/documented additive helpers, never copy one operand's eps or a fresh literal", (*linter).checkSQ012},
 	{"SQ014", "memory placement: no package-level atomics on the internal/sharded write path", (*linter).checkSQ014},
 	{"SQ015", "fan-out discipline: goroutine spawns in internal/sharded and internal/checkpoint bound loop fan-out by runtime.GOMAXPROCS, join every spawn with a deferred Wait in the spawning function, and never discard a worker's error", (*linter).checkSQ015},

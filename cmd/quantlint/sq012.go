@@ -26,25 +26,12 @@ import (
 // operands — passes: the rule forces the derivation to be explicit, not
 // a particular formula. "Merge implementation" means a function or
 // method whose name contains "merge" (case-insensitive) in an
-// internal/* package; the harness is exempt as tooling. When type
-// information is available and says the assigned field is not a float,
-// the finding is vetoed (an eps-named counter is not a budget).
+// internal/* package; the harness is exempt as tooling. The check is
+// purely syntactic: any field named eps or epsilon counts as a budget.
 func (l *linter) checkSQ012() {
 	for _, p := range l.pkgs {
 		if !isInternalPkg(p) || under(p.rel, "internal/harness") {
 			continue
-		}
-		var ti *typeInfo
-		typedOnce := false
-		typeOf := func(e ast.Expr) types.Type {
-			if !typedOnce {
-				typedOnce = true
-				ti = l.typed(p)
-			}
-			if ti == nil {
-				return nil
-			}
-			return ti.typeOf(e)
 		}
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
@@ -52,7 +39,7 @@ func (l *linter) checkSQ012() {
 				if !ok || fd.Body == nil || !strings.Contains(strings.ToLower(fd.Name.Name), "merge") {
 					continue
 				}
-				l.auditMergeEps(fd, typeOf)
+				l.auditMergeEps(fd)
 			}
 		}
 	}
@@ -61,12 +48,9 @@ func (l *linter) checkSQ012() {
 // auditMergeEps walks one merge body for eps assignments and
 // composite-literal fields whose right side copies or restates a
 // budget.
-func (l *linter) auditMergeEps(fd *ast.FuncDecl, typeOf func(ast.Expr) types.Type) {
+func (l *linter) auditMergeEps(fd *ast.FuncDecl) {
 	name := fd.Name.Name
-	flag := func(pos token.Pos, lhs ast.Expr, rhs ast.Expr) {
-		if t := typeOf(lhs); t != nil && !isFloatBasic(t) {
-			return // an eps-named non-float is not an error budget
-		}
+	flag := func(pos token.Pos, rhs ast.Expr) {
 		switch r := rhs.(type) {
 		case *ast.SelectorExpr:
 			if isEpsName(r.Sel.Name) {
@@ -91,7 +75,7 @@ func (l *linter) auditMergeEps(fd *ast.FuncDecl, typeOf func(ast.Expr) types.Typ
 				if !ok || !isEpsName(sel.Sel.Name) {
 					continue
 				}
-				flag(n.Rhs[i].Pos(), lhs, n.Rhs[i])
+				flag(n.Rhs[i].Pos(), n.Rhs[i])
 			}
 		case *ast.CompositeLit:
 			for _, el := range n.Elts {
@@ -103,7 +87,7 @@ func (l *linter) auditMergeEps(fd *ast.FuncDecl, typeOf func(ast.Expr) types.Typ
 				if !ok || !isEpsName(key.Name) {
 					continue
 				}
-				flag(kv.Value.Pos(), kv.Key, kv.Value)
+				flag(kv.Value.Pos(), kv.Value)
 			}
 		}
 		return true
@@ -114,10 +98,4 @@ func (l *linter) auditMergeEps(fd *ast.FuncDecl, typeOf func(ast.Expr) types.Typ
 // case-insensitive).
 func isEpsName(name string) bool {
 	return strings.EqualFold(name, "eps") || strings.EqualFold(name, "epsilon")
-}
-
-// isFloatBasic reports whether t's underlying type is a float.
-func isFloatBasic(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }

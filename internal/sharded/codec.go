@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"streamquantiles/internal/core"
+	"streamquantiles/internal/sharded/cell"
 )
 
 // Binary codec for the sharded containers, so the checkpoint layer can
@@ -75,20 +76,14 @@ func (c *container) MarshalBinaryWorkers(workers int) ([]byte, error) {
 		var blob []byte
 		var err error
 		if i < nShards {
-			sh := &g.shards[i]
 			done := observe(&c.ckptObs, i)
-			sh.mu.Lock()
-			blob, err = marshalSummaryInto(sh.s, (*bufs[i])[:0])
-			sh.mu.Unlock()
+			g.shards[i].Read(func(s core.Summary) { blob, err = marshalSummaryInto(s, (*bufs[i])[:0]) })
 			done()
 			if err != nil {
 				return fmt.Errorf("sharded: marshal shard %d: %w", i, err)
 			}
 		} else {
-			comp := comps[i-nShards]
-			comp.mu.Lock()
-			blob, err = marshalSummaryInto(comp.s, (*bufs[i])[:0])
-			comp.mu.Unlock()
+			comps[i-nShards].Read(func(s core.Summary) { blob, err = marshalSummaryInto(s, (*bufs[i])[:0]) })
 			if err != nil {
 				return fmt.Errorf("sharded: marshal component %d: %w", i-nShards, err)
 			}
@@ -173,7 +168,7 @@ func (c *container) UnmarshalBinaryWorkers(data []byte, workers int) error {
 	if d.Remaining() != 0 {
 		return core.Corruptf("sharded: %d trailing bytes", d.Remaining())
 	}
-	next := &generation{id: id, shards: make([]shard, p), fresh: cur.fresh, caps: cur.caps}
+	next := &generation{id: id, shards: make([]cell.Cell, p), fresh: cur.fresh, caps: cur.caps}
 	comps := make([]*retiredComp, len(compBlobs))
 	err = fanout(p+len(compBlobs), workers, func(i int) error {
 		s := cur.fresh()
@@ -181,10 +176,7 @@ func (c *container) UnmarshalBinaryWorkers(data []byte, workers int) error {
 			if err := unmarshalSummary(s, shardBlobs[i]); err != nil {
 				return fmt.Errorf("sharded: decode shard %d: %w", i, err)
 			}
-			sh := &next.shards[i]
-			sh.mu.Lock()
-			sh.s = s
-			sh.mu.Unlock()
+			next.shards[i].Init(s)
 			return nil
 		}
 		j := i - p

@@ -3,10 +3,10 @@ package sharded
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"streamquantiles/internal/core"
+	"streamquantiles/internal/sharded/cell"
 )
 
 // Elastic operations: online re-sharding and re-ε rebuild.
@@ -41,11 +41,10 @@ import (
 // receives writes and participates in queries by additive rank, or
 // through the run fold when it lists runs. The
 // snapshot is built eagerly at freeze time when the family supports it,
-// making later queries lock-free; otherwise queries lock the component
-// (GKBiased's reads flush internally, so they mutate).
+// making later queries lock-free; otherwise queries read the component
+// under its lock (GKBiased's reads flush internally, so they mutate).
 type retiredComp struct {
-	mu  sync.Mutex
-	s   core.Summary // guarded by mu
+	cell.Cell
 	qs  *core.QuerySnapshot
 	n   int64
 	eps float64 // the component's own error budget; 0 when unknown
@@ -54,13 +53,14 @@ type retiredComp struct {
 // newRetiredComp freezes s. The caller must be the only owner of s (it
 // was taken from a retired shard under that shard's mutex).
 func newRetiredComp(s core.Summary) *retiredComp {
-	c := &retiredComp{s: s, n: s.Count()}
+	c := &retiredComp{n: s.Count()}
 	if ss, ok := s.(core.Snapshotter); ok {
 		c.qs = core.BuildQuerySnapshot(ss)
 	}
 	if er, ok := s.(epsReporter); ok {
 		c.eps = er.Eps()
 	}
+	c.Init(s)
 	return c
 }
 
@@ -68,37 +68,35 @@ func (c *retiredComp) rank(x uint64) int64 {
 	if c.qs != nil {
 		return c.qs.Rank(x)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.Rank(x)
+	var r int64
+	c.Read(func(s core.Summary) { r = s.Rank(x) })
+	return r
 }
 
 // copyRuns lists the component's runs into rs when its summary lists
 // runs (core.RunLister), and reports whether it does.
-func (c *retiredComp) copyRuns(rs *core.Runs) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, ok := c.s.(core.RunLister)
-	if ok {
-		rs.CopyRuns(l)
-	}
+func (c *retiredComp) copyRuns(rs *core.Runs) (ok bool) {
+	c.Read(func(s core.Summary) {
+		if l, lists := s.(core.RunLister); lists {
+			rs.CopyRuns(l)
+			ok = true
+		}
+	})
 	return ok
 }
 
-func (c *retiredComp) spaceBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.SpaceBytes()
+func (c *retiredComp) spaceBytes() (b int64) {
+	c.Read(func(s core.Summary) { b = s.SpaceBytes() })
+	return b
 }
 
-func (c *retiredComp) invariants() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ic, ok := c.s.(invariantChecker)
-	if !ok {
-		return nil
-	}
-	return ic.Invariants()
+func (c *retiredComp) invariants() (err error) {
+	c.Read(func(s core.Summary) {
+		if ic, ok := s.(invariantChecker); ok {
+			err = ic.Invariants()
+		}
+	})
+	return err
 }
 
 // retiredSet collects a container's frozen components. comps is only
@@ -198,19 +196,6 @@ func observe(p *atomic.Pointer[ShardObserver], i int) func() {
 	return func() {}
 }
 
-// retire marks the shard retired under its own mutex and takes its
-// summary; a writer blocked on the mutex wakes to the flag and
-// re-routes.
-func retire(sh *shard) core.Summary {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.s
-	sh.retired = true
-	sh.s = nil
-	sh.epoch.Add(1)
-	return s
-}
-
 // finerThan reports whether tgt's error budget is strictly tighter than
 // old's, when both report one.
 func finerThan(tgt, old core.Summary) bool {
@@ -304,10 +289,8 @@ func (c *container) retarget(fresh func() core.Summary) error {
 func (c *container) drain(old *generation, p int, fresh func() core.Summary, caps foldCaps, fold func(tgt, old core.Summary) error) error {
 	if !c.freezes {
 		trial := fresh()
-		sh := &old.shards[0]
-		sh.mu.Lock()
-		err := fold(trial, sh.s)
-		sh.mu.Unlock()
+		var err error
+		old.shards[0].Read(func(s core.Summary) { err = fold(trial, s) })
 		if err != nil {
 			return fmt.Errorf("sharded: the successor configuration cannot absorb the live shards, and deletions rule out freezing: %w", err)
 		}
@@ -320,12 +303,11 @@ func (c *container) drain(old *generation, p int, fresh func() core.Summary, cap
 		// An insert-only summary with no elements holds nothing; a
 		// turnstile shard's zero net count may still hold cancelling
 		// structure after a reshard, so it always folds.
-		if s := retire(&old.shards[i]); s.Count() != 0 || !c.freezes {
-			dst := &next.shards[i%p]
-			dst.mu.Lock()
-			dst.epoch.Add(1)
-			ferr := fold(dst.s, s)
-			dst.mu.Unlock()
+		if s, _ := old.shards[i].Retire(nil); s.Count() != 0 || !c.freezes {
+			// No elastic operation can retire next's shards while we
+			// hold the topology write lock, so the write always lands.
+			var ferr error
+			next.shards[i%p].Write(func(dst core.Summary) { ferr = fold(dst, s) })
 			switch {
 			case ferr == nil:
 			case c.freezes:
@@ -345,25 +327,20 @@ func (c *container) drain(old *generation, p int, fresh func() core.Summary, cap
 // is published, so writers spin (seeing retired flags under the old
 // generation) only for the duration of the pointer moves.
 func (c *container) adopt(old *generation, p int) {
-	next := &generation{id: old.id + 1, shards: make([]shard, p), fresh: old.fresh, caps: old.caps}
+	next := &generation{id: old.id + 1, shards: make([]cell.Cell, p), fresh: old.fresh, caps: old.caps}
 	keep := min(len(old.shards), p)
 	for i := 0; i < keep; i++ {
 		done := observe(&c.drainObs, i)
-		sh := &next.shards[i]
-		sh.mu.Lock()
-		sh.s = retire(&old.shards[i])
-		sh.mu.Unlock()
+		s, _ := old.shards[i].Retire(nil)
+		next.shards[i].Init(s)
 		done()
 	}
 	for i := keep; i < p; i++ {
-		sh := &next.shards[i]
-		sh.mu.Lock()
-		sh.s = old.fresh()
-		sh.mu.Unlock()
+		next.shards[i].Init(old.fresh())
 	}
 	for i := keep; i < len(old.shards); i++ {
 		done := observe(&c.drainObs, i)
-		if s := retire(&old.shards[i]); s.Count() > 0 {
+		if s, _ := old.shards[i].Retire(nil); s.Count() > 0 {
 			c.ret.add(newRetiredComp(s))
 		}
 		done()
@@ -392,12 +369,11 @@ func (c *container) EpsBudget() float64 {
 	g := c.gen.Load()
 	var eps float64
 	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		if er, ok := sh.s.(epsReporter); ok {
-			eps = math.Max(eps, er.Eps())
-		}
-		sh.mu.Unlock()
+		g.shards[i].Read(func(s core.Summary) {
+			if er, ok := s.(epsReporter); ok {
+				eps = math.Max(eps, er.Eps())
+			}
+		})
 	}
 	for _, comp := range c.ret.comps {
 		eps = math.Max(eps, comp.eps)

@@ -260,7 +260,7 @@ func (e *combinedEntry) validFor(c *container) bool {
 		return false
 	}
 	for i, ep := range e.epochs {
-		if g.shards[i].epoch.Load() != ep {
+		if g.shards[i].Epoch() != ep {
 			return false
 		}
 	}
@@ -277,7 +277,7 @@ func rebuildRuns(g *generation, comps []*retiredComp) *combinedEntry {
 	e := &combinedEntry{epochs: make([]uint64, len(g.shards))}
 	e.qs = core.FoldRuns(func(rs *core.Runs) {
 		for i := range g.shards {
-			e.epochs[i] = g.withShard(i, func(s core.Summary) {
+			e.epochs[i] = g.shards[i].Read(func(s core.Summary) {
 				rs.CopyRuns(s.(core.RunLister))
 				e.n += s.Count()
 			})
@@ -321,7 +321,7 @@ func rebuildLinear(g *generation, spare *combinedEntry) *combinedEntry {
 func sumShards(g *generation, target core.Linear, epochs []uint64) error {
 	for i := range g.shards {
 		var err error
-		epochs[i] = g.withShard(i, func(s core.Summary) { err = target.MergeSummary(s) })
+		epochs[i] = g.shards[i].Read(func(s core.Summary) { err = target.MergeSummary(s) })
 		if err != nil {
 			return fmt.Errorf("sharded: shard %d sum failed: %w", i, err)
 		}
@@ -343,7 +343,7 @@ func mergedFold(g *generation) (core.Summary, []uint64, error) {
 			return fmt.Errorf("%T is not mergeable", m)
 		}
 		var err error
-		epochs[i] = g.withShard(i, func(s core.Summary) { err = mg.MergeSummary(s) })
+		epochs[i] = g.shards[i].Read(func(s core.Summary) { err = mg.MergeSummary(s) })
 		parts[i] = m
 		return err
 	})
@@ -399,7 +399,7 @@ func rebuildSnaps(g *generation) *combinedEntry {
 	ns := make([]int64, p)
 	err := fanout(p, 0, func(i int) error {
 		var err error
-		e.epochs[i] = g.withShard(i, func(s core.Summary) {
+		e.epochs[i] = g.shards[i].Read(func(s core.Summary) {
 			ss, ok := s.(core.Snapshotter)
 			if !ok {
 				err = fmt.Errorf("%T has no query snapshot", s)

@@ -58,6 +58,7 @@ import (
 	"sync/atomic"
 
 	"streamquantiles/internal/core"
+	"streamquantiles/internal/sharded/cell"
 )
 
 // checkShards validates a shard count, shared by constructors and
@@ -82,32 +83,6 @@ func mix(x uint64) uint64 {
 // deep-checked by Invariants.
 type invariantChecker interface{ Invariants() error }
 
-// cacheLine is the placement granularity for hot shared state: 128
-// bytes — two 64-byte lines — so the spatial prefetcher's paired line
-// loads cannot re-introduce false sharing between neighbours either.
-// The shard struct a generation stores as []shard pads to exactly one
-// of it (TestShardStructsPadded pins the size): without the padding,
-// shard i's lock word and shard i+1's summary header share a line, and
-// P writers on P cores ping that line between caches on every update
-// even though they never touch each other's shard.
-const cacheLine = 128
-
-// shard pads each summary's lock onto its own state; shards are only
-// ever touched under their own mutex. epoch counts writes: bumped under
-// mu before every mutation, loadable without it (see query.go). Both
-// container kinds store their summary as a core.Summary; the write
-// paths assert it to core.CashRegister or core.Turnstile once per call.
-type shard struct {
-	mu      sync.Mutex
-	s       core.Summary // guarded by mu
-	retired bool         // guarded by mu
-	epoch   atomic.Uint64
-	// The live fields above occupy 40 bytes on 64-bit; the blank tail
-	// rounds the struct up to cacheLine so adjacent shards in the
-	// generation slice never share a line (TestShardStructsPadded).
-	_ [cacheLine - 40]byte
-}
-
 // generation is one immutable shard topology: the shard array, the
 // factory that populated it (nil for a Sole container, which never
 // reshards, retargets by factory or decodes a frame), and the probed
@@ -125,27 +100,17 @@ type shard struct {
 // the linear sketches), not per shard — see Turnstile.Invariants.
 type generation struct {
 	id     uint64
-	shards []shard
+	shards []cell.Cell
 	fresh  func() core.Summary
 	caps   foldCaps
 }
 
 func newGeneration(id uint64, p int, fresh func() core.Summary, caps foldCaps) *generation {
-	g := &generation{id: id, shards: make([]shard, p), fresh: fresh, caps: caps}
+	g := &generation{id: id, shards: make([]cell.Cell, p), fresh: fresh, caps: caps}
 	for i := range g.shards {
-		g.shards[i].s = fresh()
+		g.shards[i].Init(fresh())
 	}
 	return g
-}
-
-// withShard runs fn under shard i's lock and returns the write epoch
-// observed while holding it.
-func (g *generation) withShard(i int, fn func(s core.Summary)) uint64 {
-	sh := &g.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn(sh.s)
-	return sh.epoch.Load()
 }
 
 // container is the core both container kinds embed: the generation
@@ -209,6 +174,14 @@ func widen[T core.Summary](fresh func() T) func() core.Summary {
 	return func() core.Summary { return fresh() }
 }
 
+// route returns the shard owning slot in the live generation. A write
+// that finds it retired yields and routes again, reaching the successor
+// generation once it is published.
+func (c *container) route(slot uint64) *cell.Cell {
+	g := c.gen.Load()
+	return &g.shards[slot%uint64(len(g.shards))]
+}
+
 // Shards returns the current shard count P.
 func (c *container) Shards() int { return len(c.gen.Load().shards) }
 
@@ -236,10 +209,7 @@ func (c *container) countLocked() int64 {
 	g := c.gen.Load()
 	var n int64
 	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		n += sh.s.Count()
-		sh.mu.Unlock()
+		g.shards[i].Read(func(s core.Summary) { n += s.Count() })
 	}
 	return n + c.ret.count()
 }
@@ -279,10 +249,7 @@ func (c *container) summedRankLocked(x uint64) int64 {
 	g := c.gen.Load()
 	var r int64
 	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		r += sh.s.Rank(x)
-		sh.mu.Unlock()
+		g.shards[i].Read(func(s core.Summary) { r += s.Rank(x) })
 	}
 	return r + c.ret.rank(x)
 }
@@ -294,10 +261,8 @@ func (c *container) summedRankBatchLocked(xs []uint64) []int64 {
 	g := c.gen.Load()
 	out := make([]int64, len(xs))
 	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		rs := core.RankBatch(sh.s, xs)
-		sh.mu.Unlock()
+		var rs []int64
+		g.shards[i].Read(func(s core.Summary) { rs = core.RankBatch(s, xs) })
 		for j, r := range rs {
 			out[j] += r
 		}
@@ -351,7 +316,7 @@ func (c *container) soleLocked(fn func(s core.Summary)) bool {
 	if len(g.shards) != 1 || len(c.ret.comps) != 0 {
 		return false
 	}
-	g.withShard(0, fn)
+	g.shards[0].Read(fn)
 	return true
 }
 
@@ -363,10 +328,7 @@ func (c *container) SpaceBytes() int64 {
 	g := c.gen.Load()
 	var b int64
 	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		b += sh.s.SpaceBytes()
-		sh.mu.Unlock()
+		g.shards[i].Read(func(s core.Summary) { b += s.SpaceBytes() })
 	}
 	return b + c.ret.spaceBytes()
 }
@@ -383,10 +345,8 @@ func (c *container) Invariants() error {
 func (c *container) invariantsLocked() error {
 	g := c.gen.Load()
 	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		err := checkShardInvariants(i, sh.s)
-		sh.mu.Unlock()
+		var err error
+		g.shards[i].Read(func(s core.Summary) { err = checkShardInvariants(i, s) })
 		if err != nil {
 			return err
 		}
@@ -422,9 +382,9 @@ type CashRegister struct {
 	// gen — which every writer loads per call and every flush re-loads.
 	// Writer handles never touch it (each flushes to its own affinity
 	// slot), which is what makes them scale.
-	_  [cacheLine]byte
+	_  [cell.CacheLine]byte
 	rr atomic.Uint64
-	_  [cacheLine - 8]byte
+	_  [cell.CacheLine - 8]byte
 
 	// wslot hands out writer-handle affinity slots; bumped once per
 	// AcquireWriter, never on the per-element path.
@@ -457,20 +417,9 @@ func (c *CashRegister) Retarget(fresh func() core.CashRegister) error {
 // against the successor generation, so the retry loop runs at most for
 // the duration of one topology swap.
 func (c *CashRegister) Update(x uint64) {
-	i := c.rr.Add(1) - 1
-	for {
-		g := c.gen.Load()
-		sh := &g.shards[i%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		sh.s.(core.CashRegister).Update(x)
-		sh.mu.Unlock()
-		return
+	slot := c.rr.Add(1) - 1
+	for !c.route(slot).Write(func(s core.Summary) { s.(core.CashRegister).Update(x) }) {
+		runtime.Gosched()
 	}
 }
 
@@ -502,18 +451,7 @@ func (c *CashRegister) UpdateBatchAffinity(key uint64, xs []uint64) {
 // batch is consumed before deliver returns (summaries copy what they
 // keep), so callers may reuse the backing array — writer handles do.
 func (c *CashRegister) deliver(slot uint64, xs []uint64) {
-	for {
-		g := c.gen.Load()
-		sh := &g.shards[slot%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		core.UpdateBatch(sh.s.(core.CashRegister), xs)
-		sh.mu.Unlock()
-		return
+	for !c.route(slot).Write(func(s core.Summary) { core.UpdateBatch(s.(core.CashRegister), xs) }) {
+		runtime.Gosched()
 	}
 }

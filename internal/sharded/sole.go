@@ -1,6 +1,9 @@
 package sharded
 
-import "streamquantiles/internal/core"
+import (
+	"streamquantiles/internal/core"
+	"streamquantiles/internal/sharded/cell"
+)
 
 // Sole is a one-shard container over a summary its owner built: the
 // engine of the goroutine-safe wrappers. Its container methods answer
@@ -36,59 +39,43 @@ func NewSoleTurnstile(s core.Turnstile) (*Turnstile, Sole) {
 // newSoleGeneration builds a one-shard generation holding s, with no
 // factory.
 func newSoleGeneration(id uint64, s core.Summary) *generation {
-	g := &generation{id: id, shards: make([]shard, 1), caps: capsOf(s)}
-	g.shards[0].s = s
+	g := &generation{id: id, shards: make([]cell.Cell, 1), caps: capsOf(s)}
+	g.shards[0].Init(s)
 	return g
 }
 
 // Marshal encodes the summary, under the shard's lock.
-func (o Sole) Marshal() ([]byte, error) {
-	var blob []byte
-	err := o.hold(false, func(s core.Summary) (err error) {
-		blob, err = marshalSummaryInto(s, nil)
-		return err
-	})
+func (o Sole) Marshal() (blob []byte, err error) {
+	o.topo.RLock()
+	defer o.topo.RUnlock()
+	o.gen.Load().shards[0].Read(func(s core.Summary) { blob, err = marshalSummaryInto(s, nil) })
 	return blob, err
 }
 
 // Unmarshal decodes blob into the summary in place, under the shard's
 // lock, bumping the write epoch first so cached answers are rebuilt.
-func (o Sole) Unmarshal(blob []byte) error {
-	return o.hold(true, func(s core.Summary) error { return unmarshalSummary(s, blob) })
-}
-
-// hold runs fn on the summary under the shard's lock; write bumps the
-// epoch first.
-func (o Sole) hold(write bool, fn func(s core.Summary) error) error {
+// Only Replace retires the shard, and it holds the topology lock
+// exclusively, so the write always lands.
+func (o Sole) Unmarshal(blob []byte) (err error) {
 	o.topo.RLock()
 	defer o.topo.RUnlock()
-	sh := &o.gen.Load().shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if write {
-		sh.epoch.Add(1)
-	}
-	return fn(sh.s)
+	o.gen.Load().shards[0].Write(func(s core.Summary) { err = unmarshalSummary(s, blob) })
+	return err
 }
 
 // Replace swaps the summary for next once absorb has folded the old one
-// into it; when absorb fails nothing changes. The old shard retires
-// under its own lock in the same hold, so a writer waiting on it wakes
-// to the flag and re-routes to next: no write is lost between the
+// into it; when absorb fails nothing changes. The old shard retires in
+// the same critical section as the absorb, so a writer waiting on it
+// wakes to the flag and re-routes to next: no write is lost between the
 // absorb and the swap.
 func (o Sole) Replace(next core.Summary, absorb func(tgt, old core.Summary) error) error {
 	o.topo.Lock()
 	defer o.topo.Unlock()
 	old := o.gen.Load()
-	sh := &old.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := absorb(next, sh.s); err != nil {
+	if _, err := old.shards[0].Retire(func(s core.Summary) error { return absorb(next, s) }); err != nil {
 		return err
 	}
 	o.gen.Store(newSoleGeneration(old.id+1, next))
-	sh.retired, sh.s = true, nil
-	sh.epoch.Add(1)
 	o.q.invalidate()
 	return nil
 }

@@ -70,24 +70,14 @@ func (t *Turnstile) Delete(x uint64) { t.add(x, true) }
 
 // add routes one insertion (or, with del, one deletion) to x's shard.
 func (t *Turnstile) add(x uint64, del bool) {
-	h := mix(x)
-	for {
-		g := t.gen.Load()
-		sh := &g.shards[h%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		if s := sh.s.(core.Turnstile); del {
-			s.Delete(x)
+	for !t.route(mix(x)).Write(func(s core.Summary) {
+		if ts := s.(core.Turnstile); del {
+			ts.Delete(x)
 		} else {
-			s.Insert(x)
+			ts.Insert(x)
 		}
-		sh.mu.Unlock()
-		return
+	}) {
+		runtime.Gosched()
 	}
 }
 
@@ -144,16 +134,9 @@ func (t *Turnstile) addBatchOnce(pt *partition, xs []uint64, delta int64) []uint
 		if len(sub) == 0 {
 			continue
 		}
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
+		if !g.shards[i].Write(func(s core.Summary) { addBatch(s.(core.Turnstile), sub, delta) }) {
 			leftover = append(leftover, sub...)
-			continue
 		}
-		sh.epoch.Add(1)
-		addBatch(sh.s.(core.Turnstile), sub, delta)
-		sh.mu.Unlock()
 	}
 	return leftover
 }
