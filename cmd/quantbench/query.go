@@ -123,8 +123,8 @@ func measureQuery(m *meter, data []uint64) {
 		m.speedup("query/cached", tc.name, 1, perPhi, func() { fns.cached(phis) })
 	}
 
-	// Cold queries re-fold all shards: a run merge for KLL, per-shard
-	// snapshots for GKArray, a counter sum into a recycled target for DCS.
+	// Cold queries re-fold all shards: a run merge for KLL and GKArray, a
+	// counter sum into a recycled target for DCS.
 	for _, tc := range []struct {
 		name  string
 		setup func() (query func(), dirty func())

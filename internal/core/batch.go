@@ -40,8 +40,9 @@ type BatchTurnstile interface {
 // mergeable-summary sense of Agarwal et al. MergeSummary must leave
 // other semantically unchanged (flushing other's internal buffers, a
 // transparent operation its own queries also perform, is allowed).
-// The sharded writer uses it at query time; summaries without it are
-// combined by additive rank estimation instead.
+// The sharded containers use it to drain shards into their successors
+// on Reshard and Retarget; their queries fold listed runs or sum linear
+// counters instead.
 type Mergeable interface {
 	// MergeSummary folds other into the receiver and returns an error
 	// when other has a different concrete type or configuration.

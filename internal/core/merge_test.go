@@ -198,11 +198,23 @@ func TestSharedColumnsReset(t *testing.T) {
 	}
 }
 
-// TestFoldRunsCopiesSeveralListers folds the runs of several listers
-// into one snapshot and checks it against a re-sort of the union of
-// their samples. Every lister is overwritten as soon as it has been
-// listed, as a shard written after its lock is released would be: the
-// fold must merge the copies CopyRuns took, not the live runs.
+// weightedLister lists its entries as one weighted run.
+type weightedLister []WeightedValue
+
+func (l weightedLister) ListRuns(rs *Runs) {
+	vals, ws := rs.WeightedRun(len(l))
+	for i, e := range l {
+		vals[i], ws[i] = e.V, e.W
+	}
+}
+
+// TestFoldRunsCopiesSeveralListers folds the runs of several listers,
+// some listing equal-weight runs and one a weighted run, into one
+// snapshot and checks it against a re-sort of the union of their
+// samples, whose columns it coalesces when the weighted run is not
+// empty. Every lister is overwritten as soon as it has been listed, as
+// a shard written after its lock is released would be: the fold must
+// merge the copies CopyRuns took, not the live runs.
 func TestFoldRunsCopiesSeveralListers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -220,11 +232,18 @@ func TestFoldRunsCopiesSeveralListers(t *testing.T) {
 			}
 			union = append(union, sortedReference(parts[p])...)
 		}
+		weighted := make(weightedLister, rng.Intn(40))
+		for i := range weighted {
+			weighted[i] = WeightedValue{V: uint64(rng.Intn(300)), W: int64(rng.Intn(4))}
+		}
+		slices.SortFunc(weighted, func(a, b WeightedValue) int { return cmp.Compare(a.V, b.V) })
+		union = append(union, weighted...)
 		slices.SortStableFunc(union, func(a, b WeightedValue) int { return cmp.Compare(a.V, b.V) })
 		var ref QuerySnapshot
 		AppendWeightedSnapshot(&ref, union)
 
 		qs := FoldRuns(func(rs *Runs) {
+			rs.CopyRuns(weighted)
 			for _, part := range parts {
 				rs.CopyRuns(part)
 				for _, run := range part {
@@ -234,8 +253,24 @@ func TestFoldRunsCopiesSeveralListers(t *testing.T) {
 				}
 			}
 		})
-		if qs.N != ref.N || len(qs.QVals) != len(union) || !slices.Equal(qs.QVals, ref.QVals) {
-			t.Fatalf("trial %d: fold N=%d vals %v, reference N=%d vals %v", trial, qs.N, qs.QVals, ref.N, ref.QVals)
+		for _, x := range []uint64{0, 150, 300} {
+			if got, want := RunsRank(weighted, x), WeightedRank(weighted, x); got != want {
+				t.Fatalf("trial %d: weighted RunsRank(%d) = %d, want %d", trial, x, got, want)
+			}
+		}
+		// With a weighted run in the fold, the columns coalesce to one
+		// entry per distinct value that carries weight.
+		want := ref.QVals
+		if len(weighted) > 0 {
+			want = nil
+			for i, v := range ref.QVals {
+				if (i+1 == len(ref.QVals) || ref.QVals[i+1] != v) && ref.QKeys[i] > ref.Rank(v) {
+					want = append(want, v)
+				}
+			}
+		}
+		if qs.N != ref.N || !slices.Equal(qs.QVals, want) {
+			t.Fatalf("trial %d: fold N=%d vals %v, reference N=%d vals %v", trial, qs.N, qs.QVals, ref.N, want)
 		}
 		xs := []uint64{0, 1, 150, 299, 300, math.MaxUint64}
 		for _, v := range union {

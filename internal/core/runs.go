@@ -24,33 +24,43 @@ import (
 // a copy in the merge scratch. The same merge folds the runs of several
 // summaries (FoldRuns): the sharded containers combine their shards
 // with it.
+//
+// The deterministic summaries list weighted runs instead (WeightedRun):
+// entries derived from their state, each with its own weight, such as a
+// GK tuple's share of the rank estimate or the halves of a q-digest
+// node. A weighted run is written in value order into the scratch
+// itself, so it is never sorted (sorting the values alone would split
+// them from their weights) and never copied.
 
 // RunLister is implemented by summaries whose retained samples form
-// value-sorted runs of equal weight.
+// value-sorted runs.
 type RunLister interface {
 	// ListRuns hands every retained sample to rs, one AddRun per buffer
-	// or level.
+	// or level, or one WeightedRun per derived run.
 	ListRuns(rs *Runs)
 }
 
-// run is one listed stretch of samples, as the summary holds it.
+// run is one listed stretch of samples: as the summary holds it, all of
+// weight w, or a weighted run in the scratch, entry i of weight ws[i].
 type run struct {
 	vals []uint64
 	w    int64
+	ws   []int64
 }
 
 // Runs is the per-call scratch of a run merge: the listed runs, the
-// copies CopyRuns took of them, the merge's ping-pong columns (one
-// sample set), and the columns the live query paths answer from. Values
-// are recycled through a pool, so steady-state queries allocate nothing
-// for the merge.
+// copies CopyRuns took of them, the weighted runs' weight column, the
+// merge's ping-pong columns (one sample set), and the columns the live
+// query paths answer from. Values are recycled through a pool, so
+// steady-state queries allocate nothing for the merge.
 type Runs struct {
-	runs   []run
-	copies []uint64
-	sizes  []int
-	vals   []uint64
-	ws     []int64
-	qs     QuerySnapshot
+	runs    []run
+	copies  []uint64
+	weights []int64
+	sizes   []int
+	vals    []uint64
+	ws      []int64
+	qs      QuerySnapshot
 }
 
 var runsPool = sync.Pool{New: func() any { return new(Runs) }}
@@ -63,14 +73,33 @@ func (rs *Runs) AddRun(vals []uint64, w int64) {
 	}
 }
 
+// WeightedRun lists a run of n entries, each with its own weight, and
+// returns its two columns, which the caller fills: values in ascending
+// order, and each value's weight beside it. The columns belong to rs,
+// so the run outlives any change to the summary that filled them.
+func (rs *Runs) WeightedRun(n int) ([]uint64, []int64) {
+	at, wt := len(rs.copies), len(rs.weights)
+	rs.copies = slices.Grow(rs.copies, n)[:at+n]
+	rs.weights = slices.Grow(rs.weights, n)[:wt+n]
+	r := run{vals: rs.copies[at : at+n : at+n], ws: rs.weights[wt : wt+n : wt+n]}
+	if n > 0 {
+		rs.runs = append(rs.runs, r)
+	}
+	return r.vals, r.ws
+}
+
 // CopyRuns lists l's runs into rs as copies, so l may change as soon
 // as it returns. A run copied before the copy column grows keeps
-// pointing at the old array, which still holds its values.
+// pointing at the old array, which still holds its values. Weighted
+// runs already live in rs.
 func (rs *Runs) CopyRuns(l RunLister) {
 	first := len(rs.runs)
 	l.ListRuns(rs)
 	for i := first; i < len(rs.runs); i++ {
 		r := &rs.runs[i]
+		if r.ws != nil {
+			continue
+		}
 		at := len(rs.copies)
 		rs.copies = append(rs.copies, r.vals...)
 		r.vals = rs.copies[at:]
@@ -87,10 +116,15 @@ func (rs *Runs) size() int {
 }
 
 // stage copies run i into v, sorting the copy when the run is not
-// sorted, and its weight into every slot of w.
+// sorted, and its weight into every slot of w. A weighted run is copied
+// as it is, weights and all.
 func (rs *Runs) stage(i int, v []uint64, w []int64) {
 	r := rs.runs[i]
 	copy(v, r.vals)
+	if r.ws != nil {
+		copy(w, r.ws)
+		return
+	}
 	if !slices.IsSorted(v) {
 		slices.Sort(v)
 	}
@@ -129,17 +163,37 @@ func (rs *Runs) snapshot(qs *QuerySnapshot, l RunLister) {
 // is the same pairs under the strict comparison, and N is the total
 // sample weight (the quantile target base the sampling families use).
 // Answers are byte-identical to AppendWeightedSnapshot over the same
-// samples.
+// samples, whose columns a weighted run's fold coalesces in place.
 func (rs *Runs) build(qs *QuerySnapshot) {
 	n := rs.size()
 	qs.Grow(n, 0)
 	qs.QVals, qs.QKeys = qs.QVals[:n], qs.QKeys[:n]
 	rs.mergeInto(qs.QVals, qs.QKeys)
+	if len(rs.weights) > 0 {
+		qs.QVals, qs.QKeys = coalesce(qs.QVals, qs.QKeys)
+	}
 	qs.RVals, qs.RRanks = qs.QVals, qs.QKeys
-	if n > 0 {
-		qs.N = qs.QKeys[n-1]
+	if m := len(qs.QKeys); m > 0 {
+		qs.N = qs.QKeys[m-1]
 	}
 	qs.RStrict = true
+}
+
+// coalesce compacts merged columns in place to the last entry of each
+// distinct value, and drops entries that add no weight; neither changes
+// an answer. GK and q-digest listings repeat values across levels and
+// shards, and a weight-1 q-digest node lists an empty half.
+func coalesce(vals []uint64, cum []int64) ([]uint64, []int64) {
+	m := 0
+	var last int64
+	for i, c := range cum {
+		if i+1 < len(vals) && vals[i+1] == vals[i] || c <= last {
+			continue
+		}
+		vals[m], cum[m], last = vals[i], c, c
+		m++
+	}
+	return vals[:m], cum[:m]
 }
 
 // reset empties the scratch for the pool, dropping its references to
@@ -148,18 +202,28 @@ func (rs *Runs) reset() {
 	clear(rs.runs)
 	rs.runs = rs.runs[:0]
 	rs.copies = rs.copies[:0]
+	rs.weights = rs.weights[:0]
 }
 
 // RunsRank is WeightedRank over l's merged runs, computed without
 // merging: each run contributes its weight times its number of samples
-// below x. The rank contract does not say which runs are sorted, and
-// finding out is itself a pass over the run, so the count is that pass:
-// branch-free, no copy, no sort.
+// below x, a weighted run the weights of its entries below x. The rank
+// contract does not say which runs are sorted, and finding out is
+// itself a pass over the run, so the count is that pass: no copy, no
+// sort.
 func RunsRank(l RunLister, x uint64) int64 {
 	rs := runsPool.Get().(*Runs)
 	l.ListRuns(rs)
 	var r int64
 	for _, run := range rs.runs {
+		if run.ws != nil {
+			for i, v := range run.vals {
+				if v < x {
+					r += run.ws[i]
+				}
+			}
+			continue
+		}
 		var below int64
 		for _, v := range run.vals {
 			if v < x {
@@ -222,7 +286,13 @@ func FoldRuns(list func(rs *Runs)) *QuerySnapshot {
 	rs := runsPool.Get().(*Runs)
 	list(rs)
 	qs := new(QuerySnapshot)
-	rs.build(qs)
+	if len(rs.weights) == 0 {
+		rs.build(qs)
+	} else { // coalescing shrinks it: merge in the scratch, copy out
+		rs.build(&rs.qs)
+		qs.QVals, qs.QKeys = slices.Clone(rs.qs.QVals), slices.Clone(rs.qs.QKeys)
+		qs.RVals, qs.RRanks, qs.N, qs.RStrict = qs.QVals, qs.QKeys, rs.qs.N, true
+	}
 	rs.reset()
 	runsPool.Put(rs)
 	return qs

@@ -149,6 +149,10 @@ func (a *Adaptive) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	appendQuerySnapshot(a.seq, a.n, qs)
 }
 
+// ListRuns implements core.RunLister: the tuples as one weighted run
+// (see listRuns).
+func (a *Adaptive) ListRuns(rs *core.Runs) { listRuns(a.seq, a.list.Len(), rs) }
+
 // Rank implements core.Summary.
 func (a *Adaptive) Rank(x uint64) int64 {
 	return queryRank(a.seq, x)

@@ -118,6 +118,13 @@ func (a *Array) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	appendQuerySnapshot(a.seq, a.n, qs)
 }
 
+// ListRuns implements core.RunLister: the tuples as one weighted run
+// (see listRuns). It flushes pending elements first.
+func (a *Array) ListRuns(rs *core.Runs) {
+	a.Flush()
+	listRuns(a.seq, a.tuples.len(), rs)
+}
+
 // Rank implements core.Summary. It flushes pending elements first.
 func (a *Array) Rank(x uint64) int64 {
 	a.Flush()

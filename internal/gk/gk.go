@@ -293,6 +293,30 @@ func queryRanks(seq tupleSeq, xs []uint64) []int64 {
 	return out
 }
 
+// listRuns lists the tuples as one weighted run (core.RunLister), for
+// the sharded containers' run fold. Tuple i weighs Mᵢ − Mᵢ₋₁, where Mᵢ
+// is the running maximum of the rank estimates Σ_{k≤j} g_k + ⌊Δ_j/2⌋
+// over j ≤ i and M₋₁ = 0, so the weight of the entries strictly below x
+// is the running maximum of queryRank's estimates up to the last tuple
+// below x. Where the estimates rise monotonically, as the Array and
+// Adaptive variants' did on every input tested, that is queryRank's
+// estimate exactly. Where they dip, as Theory's can, the maximum keeps
+// every weight non-negative, and stays within the estimate's bound
+// because the true rank never falls.
+func listRuns(seq tupleSeq, tuples int, rs *core.Runs) {
+	vals, ws := rs.WeightedRun(tuples)
+	var rsum, m int64
+	i := 0
+	seq(func(t tuple) bool {
+		rsum += t.g
+		est := max(m, rsum+t.del/2)
+		vals[i], ws[i] = t.v, est-m
+		m = est
+		i++
+		return true
+	})
+}
+
 // appendQuerySnapshot flattens the tuple list into a core.QuerySnapshot
 // with byte-identical answers to queryQuantile and queryRank.
 //

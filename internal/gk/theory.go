@@ -175,6 +175,10 @@ func (t *Theory) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	appendQuerySnapshot(t.seq, t.n, qs)
 }
 
+// ListRuns implements core.RunLister: the tuples as one weighted run
+// (see listRuns).
+func (t *Theory) ListRuns(rs *core.Runs) { listRuns(t.seq, t.list.Len(), rs) }
+
 // Rank implements core.Summary.
 func (t *Theory) Rank(x uint64) int64 {
 	return queryRank(t.seq, x)

@@ -36,10 +36,16 @@ func sortFloats(xs []float64) {
 	}
 }
 
-// runAll measures every experiment once for claim checking.
+// runAll measures every experiment once for claim checking. Tables 3
+// and 4 report the same sweep (Run answers both from Table3And4), so
+// it runs once and is stored under both keys.
 func runAll(o Options) map[string][]Result {
 	byExp := map[string][]Result{}
 	for _, exp := range AllExperiments() {
+		if exp == ExpTable4 {
+			byExp[exp] = byExp[ExpTable3]
+			continue
+		}
 		byExp[exp] = Run(exp, o)
 	}
 	return byExp

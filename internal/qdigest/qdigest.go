@@ -518,23 +518,9 @@ func (d *Digest) QuantileBatch(phis []float64) []uint64 {
 }
 
 // Rank implements core.Summary: nodes entirely below x count fully,
-// nodes straddling x count half (midpoint convention). The sum does not
-// depend on the visiting order, so it walks the stored nodes as they lie.
-func (d *Digest) Rank(x uint64) int64 {
-	d.drain()
-	var r int64
-	for _, c := range [2]*cols{&d.nodes, &d.side} {
-		for i, id := range c.keys {
-			switch lo, hi := d.span(id); {
-			case hi < x:
-				r += c.ws[i]
-			case lo < x:
-				r += c.ws[i] / 2
-			}
-		}
-	}
-	return r
-}
+// nodes straddling x count half (midpoint convention), which is the
+// weight ListRuns lists strictly below x.
+func (d *Digest) Rank(x uint64) int64 { return core.RunsRank(d, x) }
 
 // rankSteps flattens the midpoint rank rule into a step function of x:
 // a node contributes w/2 once x exceeds its lo and the remaining
@@ -627,6 +613,47 @@ func (d *Digest) AppendQuerySnapshot(qs *core.QuerySnapshot) {
 	qs.QKeys = append(qs.QKeys, d.post.ws...)
 	qs.RVals = append(qs.RVals, vals...)
 	qs.RRanks = append(qs.RRanks, ranks...)
+}
+
+// ListRuns implements core.RunLister, for Rank and for the sharded
+// containers' run fold: one weighted run per tree level of the columns,
+// and one for the side run. A node [lo, hi] of weight w lists ⌊w/2⌋ at
+// lo and the rest at hi, a leaf its whole weight at its value, so the
+// weight listed strictly below x is Rank's midpoint rule exactly.
+// Within a level the intervals are disjoint and in id order, so every
+// run is sorted.
+func (d *Digest) ListRuns(rs *core.Runs) {
+	d.drain()
+	ids, ws := d.nodes.keys, d.nodes.ws
+	for s := 0; s < len(ids); {
+		lv, e := d.level(ids[s]), len(ids)
+		if lv < d.bits {
+			e = s + core.SearchGe(ids[s:], uint64(2)<<lv)
+		}
+		d.listLevel(rs, lv, ids[s:e], ws[s:e])
+		s = e
+	}
+	d.listLevel(rs, d.bits, d.side.keys, d.side.ws)
+}
+
+// listLevel lists the nodes of one level as a weighted run.
+func (d *Digest) listLevel(rs *core.Runs, lv int, ids []uint64, ws []int64) {
+	first, shift := uint64(1)<<lv, d.bits-lv
+	if shift == 0 {
+		vals, lws := rs.WeightedRun(len(ids))
+		for k, id := range ids {
+			vals[k] = id - first
+		}
+		copy(lws, ws)
+		return
+	}
+	vals, lws := rs.WeightedRun(2 * len(ids))
+	end := uint64(1)<<shift - 1
+	for k, id := range ids {
+		lo, w := (id-first)<<shift, ws[k]
+		vals[2*k], lws[2*k] = lo, w/2
+		vals[2*k+1], lws[2*k+1] = lo|end, w-w/2
+	}
 }
 
 // nodeIter lists the node set in ascending id order without changing the

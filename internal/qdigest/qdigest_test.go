@@ -2,6 +2,8 @@ package qdigest
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +299,50 @@ func BenchmarkQuantile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Quantile(0.5)
+	}
+}
+
+// TestListRunsMatchesRank pins the run listing that Rank and the
+// sharded fold read against the midpoint rule, walked over the stored
+// nodes: at every probe, Rank(x) and the rank of the listing's fold
+// equal it. The fold's binary search reads the right entries only when
+// every run is sorted. Small universes put weight on leaves and in the
+// side run.
+func TestListRunsMatchesRank(t *testing.T) {
+	midpoint := func(d *Digest, x uint64) int64 {
+		var r int64
+		for _, c := range [2]*cols{&d.nodes, &d.side} {
+			for i, id := range c.keys {
+				switch lo, hi := d.span(id); {
+				case hi < x:
+					r += c.ws[i]
+				case lo < x:
+					r += c.ws[i] / 2
+				}
+			}
+		}
+		return r
+	}
+	for _, bits := range []int{4, 8, 16} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(bits)))
+			d := New(0.05, bits)
+			for range 5000 {
+				d.Update(rng.Uint64N(1 << bits))
+			}
+			qs := core.FoldRuns(func(rs *core.Runs) { rs.CopyRuns(d) })
+			if !slices.IsSorted(qs.QVals) || qs.N != d.Count() {
+				t.Fatalf("bits %d seed %d: fold of %d unsorted or weighing %d", bits, seed, d.Count(), qs.N)
+			}
+			for x := uint64(0); x <= 1<<bits; x += 1 + rng.Uint64N(1<<(bits/2)) {
+				want := midpoint(d, x)
+				if got := d.Rank(x); got != want {
+					t.Fatalf("bits %d seed %d: Rank(%d) = %d, midpoint rule %d", bits, seed, x, got, want)
+				}
+				if got := qs.Rank(x); got != want {
+					t.Fatalf("bits %d seed %d: fold rank of %d is %d, midpoint rule %d", bits, seed, x, got, want)
+				}
+			}
+		}
 	}
 }

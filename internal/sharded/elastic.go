@@ -31,18 +31,20 @@ import (
 // ε-budget accounting: a MERGE preserves max(ε₁, ε₂) (the mergeable-
 // summary rule the SQ012 lint polices), RetargetMerge widens the
 // receiver to that same max, and a frozen component keeps its own ε and
-// contributes its own ±εᵢnᵢ to the additive rank combination. EpsBudget
-// reports the max over the live shards and all frozen components, so
-// the composed error of any query is ≤ 2·EpsBudget()·n + Components()
-// for rank-combined families and ≤ EpsBudget()·n for merged and
-// run-folded ones.
+// contributes its own estimate error to every query. EpsBudget reports
+// the max over the live shards and all frozen components, so the
+// composed error of any query is ≤ EpsBudget()·n for q-digest and the
+// sampling families, and ≤ 2·EpsBudget()·n + Shards() + Components()
+// for the GK tuple summaries, whose midpoint estimates err by up to
+// twice their budget plus one.
 
 // retiredComp is a summary frozen by an elastic operation: it no longer
-// receives writes and participates in queries by additive rank, or
-// through the run fold when it lists runs. The
-// snapshot is built eagerly at freeze time when the family supports it,
-// making later queries lock-free; otherwise queries read the component
-// under its lock (GKBiased's reads flush internally, so they mutate).
+// receives writes and joins the run fold when it lists runs; otherwise
+// queries add its rank to the fold's. Its snapshot is built eagerly at
+// freeze time when the family supports it, so a generation with no
+// fold of its own (GKBiased) sums the component's ranks lock-free;
+// otherwise queries read the component under its lock (GKBiased's
+// reads flush internally, so they mutate).
 type retiredComp struct {
 	cell.Cell
 	qs  *core.QuerySnapshot
@@ -236,8 +238,9 @@ func absorb(tgt, old core.Summary) error {
 // ingestion. Mergeable families drain every retired shard into the new
 // shard set through MERGE. For the non-mergeable GK family a cash
 // register adopts the first min(P_old, p) summaries in place (a pointer
-// move — no accuracy cost) and freezes any surplus as rank components,
-// so a shrink adds at most P_old − p components to the additive bound.
+// move — no accuracy cost) and freezes any surplus as components, which
+// join the run fold, so a shrink adds at most P_old − p to the parts
+// term of the GK bound.
 // A turnstile rejects non-mergeable families: the re-routed deletions
 // of an element must cancel against its re-merged insertions, which the
 // linear sketches guarantee exactly, while a frozen component could
@@ -349,7 +352,8 @@ func (c *container) adopt(old *generation, p int) {
 }
 
 // Components returns the number of frozen retired components currently
-// contributing to queries by additive rank (always 0 for a turnstile).
+// contributing to queries, through the run fold or by their ranks
+// (always 0 for a turnstile).
 func (c *container) Components() int {
 	c.topo.RLock()
 	defer c.topo.RUnlock()
@@ -360,9 +364,9 @@ func (c *container) Components() int {
 // shard's ε and every frozen component's ε (0 when the family does not
 // report one). The live shards answer for themselves, so a decoded
 // frame or a budget-widening RetargetMerge reports the ε the data
-// actually carries, not the factory's. Rank-combined queries err by at
-// most 2·EpsBudget()·n + Shards() + Components(); merged and run folds
-// by at most EpsBudget()·n.
+// actually carries, not the factory's. Queries over q-digest and the
+// sampling families err by at most EpsBudget()·n; over the GK tuple
+// summaries by at most 2·EpsBudget()·n + Shards() + Components().
 func (c *container) EpsBudget() float64 {
 	c.topo.RLock()
 	defer c.topo.RUnlock()

@@ -1,7 +1,6 @@
 // The one worker pool of the sharded containers: the codec's per-shard
-// marshal and decode and the query path's per-shard fold both run
-// through fanout. It is the only place in the library that starts a
-// goroutine.
+// marshal and decode run through fanout. It is the only place in the
+// library that starts a goroutine.
 package sharded
 
 import (

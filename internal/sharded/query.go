@@ -18,20 +18,25 @@ import (
 // all three lock-free and reuses the artifact when nothing changed, so
 // repeated queries on a quiet container never fold anything and never
 // touch the topology lock. Rebuilds run under the topology read lock,
-// so a fold never observes a half-drained reshard. What a rebuild
-// builds depends on the family, probed once per factory (foldCaps):
+// so a fold never observes a half-drained reshard. A rebuild starts no
+// goroutine. What it builds depends on the family, probed once per
+// factory (foldCaps):
 //
 //   - One shard and no frozen components: the shard answers by itself,
 //     from its own exact snapshot when it has one, and otherwise under
 //     its lock (the dyadic sketches, GKBiased). Nothing is copied or
 //     merged. The goroutine-safe wrappers are such containers (Sole).
-//   - Run-listing families (core.RunLister: KLL, MRL99, Random): each
-//     shard's runs are copied under that shard's lock, with its epoch,
-//     and one core.FoldRuns merges them, with the runs of every
-//     run-listing frozen component, into one snapshot. No lock is held
-//     during the merge, and the shards need not merge as summaries:
-//     differently seeded shards and frozen finer-ε components fold the
-//     same way.
+//   - Run-listing families (core.RunLister: KLL, MRL99, Random, the GK
+//     tuple summaries, q-digest, Windowed): each shard's runs are
+//     copied under that shard's lock, with its epoch, and one
+//     core.FoldRuns merges them, with the runs of every run-listing
+//     frozen component, into one snapshot. No lock is held during the
+//     merge, and the shards need not merge as summaries: differently
+//     seeded shards, GK shards and frozen finer-ε components fold the
+//     same way. The sampling families list their samples; GK lists each
+//     tuple with its share of the rank estimate, and q-digest each node
+//     split into halves at its two ends, so the fold's rank is the sum
+//     of the shards' own rank estimates.
 //   - Linear families (core.Linear: the dyadic sketches): one target
 //     sketch with zeroed counters absorbs every shard in turn, each
 //     added under its own lock. Equally seeded linear sketches sum to
@@ -39,24 +44,21 @@ import (
 //     answer, equal the unsharded sketch's. The target is recycled
 //     from the previous entry once no reader holds it (see pin), so a
 //     re-fold builds no fresh summary.
-//   - Other mergeable families (q-digest): one worker per shard merges
-//     that shard into its own fresh summary (holding only that shard's
-//     lock), then the P partials reduce pairwise in ⌈log₂P⌉ parallel
-//     rounds (mergedFold, mergeTree).
-//   - Other families with exact snapshots (the GK tuple summaries): one
-//     snapshot per shard, combined by additive rank.
 //
-// Accuracy. A rank over the union of the shards' weighted samples errs
-// by at most Σᵢ εᵢnᵢ ≤ εn, where ε is the largest budget in play
-// (EpsBudget): each sample set answers its own share within its own
-// budget, and counts over a union add. The run fold adds no compaction
-// on top, where a merge tree adds one per level. For the additive GK
-// combination the summed estimate R̂(x) = Σᵢ R̂ᵢ(x) differs from the
-// true combined rank by at most Σᵢ(2εᵢnᵢ + 1) ≤ 2εn + parts — each
-// shard's midpoint estimator is uncertain by the ⌊2εᵢnᵢ⌋ capacity of
-// the gap a probe falls into, plus one for its −1 bias; parts counts
-// live shards plus the components frozen by elastic operations. The
-// bitwise descent (rankQuantile) inverts R̂ within the same bound.
+// Everything else (GKBiased at P > 1) has no cached artifact: queries
+// sum the live shards' rank estimates, and quantiles invert that sum by
+// a bitwise descent (rankQuantile).
+//
+// Accuracy. A rank over the union of the shards' listed runs is the sum
+// of the parts' rank estimates, so its error is the sum of theirs, and
+// the fold adds no compaction on top. For the sampling families and
+// q-digest each part errs by at most εᵢnᵢ, so the fold errs by at most
+// Σᵢ εᵢnᵢ ≤ εn, where ε is the largest budget in play (EpsBudget). A GK
+// midpoint estimate is uncertain by the ⌊2εᵢnᵢ⌋ capacity of the gap a
+// probe falls into, plus one for its −1 bias, so a GK fold errs by at
+// most Σᵢ(2εᵢnᵢ + 1) ≤ 2εn + parts, where parts counts the live shards
+// plus the components frozen by elastic operations. The live descent
+// inverts its summed estimate within the same bounds.
 
 // foldCaps records what query artifacts a factory's summaries support,
 // probed once per factory (construction, Retarget, decode).
@@ -121,16 +123,13 @@ type queryCache struct {
 func (q *queryCache) invalidate() { q.cur.Store(nil) }
 
 // combinedEntry is one cached fold of the whole container. Exactly one
-// of the three artifact shapes is populated:
+// of two artifact shapes is populated:
 //
-//   - qs: one exact snapshot — the lone shard's own, the run fold, or
-//     the snapshot of the merged summary (q-digest). Queries never
-//     touch a summary, which matters for the families whose queries
-//     flush.
-//   - sum: the merged summary, queried directly (the dyadic sketches,
-//     whose queries are pure reads).
-//   - snaps: one exact snapshot per shard (the GK tuple summaries),
-//     combined by additive rank.
+//   - qs: one exact snapshot, the lone shard's own or the run fold.
+//     Queries never touch a summary, which matters for the families
+//     whose queries flush.
+//   - sum: the counter sum of the dyadic sketches, queried directly
+//     (their queries are pure reads).
 //
 // comps carries the frozen components the artifact does not cover;
 // when present, ranks add their contribution and quantiles go through
@@ -139,13 +138,13 @@ func (q *queryCache) invalidate() { q.cur.Store(nil) }
 // All artifacts are immutable while readers can reach them, so queries
 // are lock-free. A reader that loaded an entry just before the epoch
 // bump may still be mid-query, so a retired entry's arrays stay
-// untouched until the GC reclaims them — with one exception: a linear
-// entry's target sum is recycled by a later rebuild, and readers pin
-// such an entry (pin, release) so that no rebuild resets a target
-// while a reader still queries it. Entries of every other shape are
-// never recycled and never pinned. Pooling elsewhere on this path is
-// confined to per-call scratch (core.FoldRuns, descentPool,
-// rankBufPool), which never escapes its function.
+// untouched until the GC reclaims them — with one exception: a sum
+// entry's target is recycled by a later rebuild, and readers pin such
+// an entry (pin, release) so that no rebuild resets a target while a
+// reader still queries it. Snapshot entries are never recycled and
+// never pinned. Pooling elsewhere on this path is confined to per-call
+// scratch (core.FoldRuns, descentPool, rankBufPool), which never
+// escapes its function.
 type combinedEntry struct {
 	genID  uint64   // topology generation at fold time
 	retVer uint64   // retired-component version at fold time
@@ -153,12 +152,9 @@ type combinedEntry struct {
 	n      int64    // combined count at fold time (components included)
 	qs     *core.QuerySnapshot
 	sum    core.Summary
-	snaps  []*core.QuerySnapshot
 	comps  []*retiredComp
-	// linear marks sum as a recyclable counter-sum target; pins counts
-	// the readers that hold such an entry.
-	linear bool
-	pins   atomic.Int32
+	// pins counts the readers that hold a sum entry.
+	pins atomic.Int32
 }
 
 // entry returns a fold of the container valid for its current topology
@@ -185,21 +181,13 @@ func (q *queryCache) entry(c *container) *combinedEntry {
 	switch {
 	case len(g.shards) == 1 && len(comps) == 0:
 		if g.caps.snapAll {
-			e = rebuildSnaps(g)
+			e = rebuildSole(g)
 		}
 	case g.caps.runs:
 		e = rebuildRuns(g, comps)
-	default:
-		switch {
-		case g.caps.linear:
-			e = rebuildLinear(g, q.spare)
-			q.spare = nil
-		case g.caps.mergeable:
-			e = rebuildCombined(g)
-		}
-		if e == nil && g.caps.snapAll {
-			e = rebuildSnaps(g)
-		}
+	case g.caps.linear:
+		e = rebuildLinear(g, q.spare)
+		q.spare = nil
 		if e != nil {
 			e.comps = comps
 		}
@@ -212,7 +200,7 @@ func (q *queryCache) entry(c *container) *combinedEntry {
 	for _, comp := range e.comps {
 		e.n += comp.n
 	}
-	if old := q.cur.Load(); old != nil && old.linear {
+	if old := q.cur.Load(); old != nil && old.sum != nil {
 		q.spare = old
 	}
 	q.cur.Store(e)
@@ -220,16 +208,15 @@ func (q *queryCache) entry(c *container) *combinedEntry {
 	return e
 }
 
-// pin makes e safe to query until release. Only a linear entry needs
-// it: a rebuild recycles the target of a retired linear entry, but
-// only after reading its pin count as 0, and an entry retires only
-// when a newer one is published. The reader raises the count before it
-// checks that e is still current, so either the rebuild sees the pin
-// and builds a fresh target, or the reader sees e retired, drops the
-// pin and takes the rebuild path. pin reports whether e may be
-// queried.
+// pin makes e safe to query until release. Only a sum entry needs it:
+// a rebuild recycles the target of a retired sum entry, but only after
+// reading its pin count as 0, and an entry retires only when a newer
+// one is published. The reader raises the count before it checks that
+// e is still current, so either the rebuild sees the pin and builds a
+// fresh target, or the reader sees e retired, drops the pin and takes
+// the rebuild path. pin reports whether e may be queried.
 func (q *queryCache) pin(e *combinedEntry) bool {
-	if !e.linear {
+	if e.sum == nil {
 		return true
 	}
 	e.pins.Add(1)
@@ -242,7 +229,7 @@ func (q *queryCache) pin(e *combinedEntry) bool {
 
 // release ends a query pinned by entry.
 func (e *combinedEntry) release() {
-	if e.linear {
+	if e.sum != nil {
 		e.pins.Add(-1)
 	}
 }
@@ -270,8 +257,8 @@ func (e *combinedEntry) validFor(c *container) bool {
 // rebuildRuns folds a run-listing generation into one snapshot: every
 // live shard's runs, copied under that shard's lock, and the runs of
 // every frozen component that lists them, merged by one core.FoldRuns
-// with no lock held. The components that list no runs are left to the
-// additive combination. Every shard of a generation has the type its
+// with no lock held. The components that list no runs are left for
+// queries to add by rank. Every shard of a generation has the type its
 // capabilities were probed on, so every shard lists runs.
 func rebuildRuns(g *generation, comps []*retiredComp) *combinedEntry {
 	e := &combinedEntry{epochs: make([]uint64, len(g.shards))}
@@ -293,6 +280,17 @@ func rebuildRuns(g *generation, comps []*retiredComp) *combinedEntry {
 	return e
 }
 
+// rebuildSole flattens a lone shard into its own exact snapshot, which
+// answers by itself.
+func rebuildSole(g *generation) *combinedEntry {
+	e := &combinedEntry{epochs: make([]uint64, 1)}
+	e.epochs[0] = g.shards[0].Read(func(s core.Summary) {
+		e.n = s.Count()
+		e.qs = core.BuildQuerySnapshot(s.(core.Snapshotter))
+	})
+	return e
+}
+
 // rebuildLinear folds a linear generation by one counter sum into a
 // target: the spare entry's when it was built for this generation and
 // no reader holds it (its counters are reset first), a fresh summary
@@ -306,7 +304,7 @@ func rebuildLinear(g *generation, spare *combinedEntry) *combinedEntry {
 	} else {
 		sum = g.fresh()
 	}
-	e := &combinedEntry{epochs: make([]uint64, len(g.shards)), sum: sum, linear: true}
+	e := &combinedEntry{epochs: make([]uint64, len(g.shards)), sum: sum}
 	if sumShards(g, sum.(core.Linear), e.epochs) != nil {
 		return nil
 	}
@@ -329,112 +327,12 @@ func sumShards(g *generation, target core.Linear, epochs []uint64) error {
 	return nil
 }
 
-// mergedFold folds all shards of g into one fresh summary by parallel
-// tree-merge. It serves the mergeable families that are not linear
-// (q-digest), through rebuildCombined.
-func mergedFold(g *generation) (core.Summary, []uint64, error) {
-	p := len(g.shards)
-	epochs := make([]uint64, p)
-	parts := make([]core.Summary, p)
-	err := fanout(p, 0, func(i int) error {
-		m := g.fresh()
-		mg, ok := m.(core.Mergeable)
-		if !ok {
-			return fmt.Errorf("%T is not mergeable", m)
-		}
-		var err error
-		epochs[i] = g.shards[i].Read(func(s core.Summary) { err = mg.MergeSummary(s) })
-		parts[i] = m
-		return err
-	})
-	if err == nil {
-		err = mergeTree(parts)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("sharded: shard fold merge failed: %w", err)
-	}
-	return parts[0], epochs, nil
-}
-
-// rebuildCombined folds all shards into one merged summary; nil when
-// any merge fails.
-func rebuildCombined(g *generation) *combinedEntry {
-	sum, epochs, err := mergedFold(g)
-	if err != nil {
-		return nil
-	}
-	e := &combinedEntry{epochs: epochs, n: sum.Count(), sum: sum}
-	if ss, ok := sum.(core.Snapshotter); ok {
-		e.qs = core.BuildQuerySnapshot(ss)
-		e.sum = nil // answer only from the immutable snapshot
-	}
-	return e
-}
-
-// mergeTree pairwise-reduces parts into parts[0]: round r merges
-// partials 2ʳ apart, every pair in parallel.
-func mergeTree(parts []core.Summary) error {
-	for stride := 1; stride < len(parts); stride *= 2 {
-		var dsts []int
-		for i := 0; i+stride < len(parts); i += 2 * stride {
-			dsts = append(dsts, i)
-		}
-		err := fanout(len(dsts), 0, func(j int) error {
-			i := dsts[j]
-			return parts[i].(core.Mergeable).MergeSummary(parts[i+stride])
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rebuildSnaps flattens every shard into an exact snapshot, in
-// parallel, each under its own shard lock. A lone shard's snapshot
-// answers by itself.
-func rebuildSnaps(g *generation) *combinedEntry {
-	p := len(g.shards)
-	e := &combinedEntry{epochs: make([]uint64, p), snaps: make([]*core.QuerySnapshot, p)}
-	ns := make([]int64, p)
-	err := fanout(p, 0, func(i int) error {
-		var err error
-		e.epochs[i] = g.shards[i].Read(func(s core.Summary) {
-			ss, ok := s.(core.Snapshotter)
-			if !ok {
-				err = fmt.Errorf("%T has no query snapshot", s)
-				return
-			}
-			ns[i] = s.Count()
-			e.snaps[i] = core.BuildQuerySnapshot(ss)
-		})
-		return err
-	})
-	if err != nil {
-		return nil
-	}
-	for _, n := range ns {
-		e.n += n
-	}
-	if p == 1 {
-		e.qs, e.snaps = e.snaps[0], nil
-	}
-	return e
-}
-
 // baseRank answers a combined rank query from the live-shard artifact.
 func (e *combinedEntry) baseRank(x uint64) int64 {
 	if e.qs != nil {
 		return e.qs.Rank(x)
 	}
-	if e.sum != nil {
-		return e.sum.Rank(x)
-	}
-	var r int64
-	for _, qs := range e.snaps {
-		r += qs.Rank(x)
-	}
-	return r
+	return e.sum.Rank(x)
 }
 
 // rank answers a combined rank query from the fold, frozen components
@@ -464,19 +362,8 @@ func (e *combinedEntry) rankBatch(xs []uint64) []int64 {
 // (reusing its capacity), for callers on the zero-allocation descent
 // path.
 func (e *combinedEntry) appendRankBatch(dst []int64, xs []uint64) []int64 {
-	for range xs {
-		dst = append(dst, 0)
-	}
-	if e.qs != nil || e.sum != nil {
-		for i, x := range xs {
-			dst[i] += e.baseRank(x)
-		}
-	} else {
-		for _, qs := range e.snaps {
-			for i, x := range xs {
-				dst[i] += qs.Rank(x)
-			}
-		}
+	for _, x := range xs {
+		dst = append(dst, e.baseRank(x))
 	}
 	for _, c := range e.comps {
 		for i, x := range xs {

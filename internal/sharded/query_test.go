@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"streamquantiles/internal/dyadic"
 	"streamquantiles/internal/gk"
 	"streamquantiles/internal/kll"
+	"streamquantiles/internal/qdigest"
 )
 
 // listHook is a KLL sketch that runs a hook whenever its runs are
@@ -85,7 +87,7 @@ func TestQueryCacheProtocol(t *testing.T) {
 	ts.InsertBatch(turnData(20000, 16))
 	ts.Quantile(0.5)
 	e := ts.q.cur.Load()
-	if e == nil || !e.linear || e.sum == nil {
+	if e == nil || e.sum == nil {
 		t.Fatal("DCS: no cached linear sum after a query")
 	}
 	if !ts.q.pin(e) {
@@ -334,9 +336,9 @@ func TestQueryCacheRebuildRace(t *testing.T) {
 // TestRunFoldCoversComponents pins which parts the run fold covers: the
 // live shards whether or not they merge as summaries (here KLL shards
 // of differing ε, which do not), and every frozen
-// component that lists runs. Only components that list none (here a GK
-// summary frozen under a KLL generation) are left to the additive rank
-// combination and its rank descent.
+// component that lists runs. Only components that list none (here a
+// GKBiased summary frozen under a KLL generation) are left to the
+// additive rank combination and its rank descent.
 func TestRunFoldCoversComponents(t *testing.T) {
 	var k float64
 	c, err := NewCashRegister(3, func() core.CashRegister { k++; return kll.New(0.01/k, 7) })
@@ -358,7 +360,7 @@ func TestRunFoldCoversComponents(t *testing.T) {
 			c.Components(), e.qs.N, c.Count(), len(e.comps))
 	}
 
-	g, err := NewCashRegister(2, func() core.CashRegister { return gk.NewArray(0.01) })
+	g, err := NewCashRegister(2, func() core.CashRegister { return gk.NewBiased(0.01) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +372,209 @@ func TestRunFoldCoversComponents(t *testing.T) {
 	g.Quantile(0.5)
 	e = g.q.cur.Load()
 	if g.Components() != 2 || e.qs == nil || len(e.comps) != 2 {
-		t.Fatalf("GK components under a KLL generation: %d components, %d left to the additive combination, want 2",
+		t.Fatalf("GKBiased components under a KLL generation: %d components, %d left to the additive combination, want 2",
 			g.Components(), len(e.comps))
+	}
+}
+
+// TestRunFoldMatchesSummedRank pins the GK and q-digest run listings
+// against the live additive combination they replace. For GKArray and
+// GKAdaptive, whose per-tuple estimates never dip, the fold's ranks
+// equal the summed per-shard ranks (summedRankLocked) and its quantiles
+// equal the bitwise descent over that sum (rankQuantile,
+// rankQuantileBatch), exactly: at P ∈ {2, 4, 16}, over 20 seeds, in
+// generation 0, after an adoption reshard to P−1 and after a finer
+// Retarget freezes every shard. For q-digest the fold's ranks equal the
+// summed per-shard midpoint ranks; its quantiles come from the fold's
+// own weighted rule, which differs from the descent.
+func TestRunFoldMatchesSummedRank(t *testing.T) {
+	const n, eps = 3000, 0.02
+	families := []struct {
+		name      string
+		fresh     func(eps float64) core.CashRegister
+		quantiles bool
+	}{
+		{"GKArray", func(eps float64) core.CashRegister { return gk.NewArray(eps) }, true},
+		{"GKAdaptive", func(eps float64) core.CashRegister { return gk.NewAdaptive(eps) }, true},
+		{"QDigest", func(eps float64) core.CashRegister { return qdigest.New(eps, 16) }, false},
+	}
+	phis := []float64{0.0001, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 0.9999}
+	for _, fam := range families {
+		for _, p := range []int{2, 4, 16} {
+			for seed := uint64(1); seed <= 20; seed++ {
+				data := foldTestData(seed, n)
+				c, err := NewCashRegister(p, func() core.CashRegister { return fam.fresh(eps) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := func(stage string) {
+					t.Helper()
+					e := c.q.cur.Load()
+					if e == nil || e.qs == nil || len(e.comps) != 0 {
+						t.Fatalf("%s P=%d seed %d %s: the queries were not answered by one run fold", fam.name, p, seed, stage)
+					}
+					c.topo.RLock()
+					defer c.topo.RUnlock()
+					probes := append([]uint64{0, 1, 1 << 15, 1<<16 - 1, 1 << 16}, data[:40]...)
+					for _, x := range data[40:80] {
+						probes = append(probes, x+1)
+					}
+					wantR := c.summedRankBatchLocked(probes)
+					if got := c.RankBatch(probes); !slices.Equal(got, wantR) {
+						t.Fatalf("%s P=%d seed %d %s: RankBatch %v, summed ranks %v", fam.name, p, seed, stage, got, wantR)
+					}
+					for i, x := range probes {
+						if got, want := c.Rank(x), c.summedRankLocked(x); got != want || want != wantR[i] {
+							t.Fatalf("%s P=%d seed %d %s: Rank(%d) = %d, summed rank %d", fam.name, p, seed, stage, x, got, want)
+						}
+					}
+					if !fam.quantiles {
+						return
+					}
+					count := c.countLocked()
+					wantQ := rankQuantileBatch(count, c.summedRankBatchLocked, phis)
+					if got := c.QuantileBatch(phis); !slices.Equal(got, wantQ) {
+						t.Fatalf("%s P=%d seed %d %s: QuantileBatch %v, descent %v", fam.name, p, seed, stage, got, wantQ)
+					}
+					for i, phi := range phis {
+						if got, want := c.Quantile(phi), rankQuantile(count, c.summedRankLocked, phi); got != want || want != wantQ[i] {
+							t.Fatalf("%s P=%d seed %d %s: Quantile(%v) = %d, descent %d", fam.name, p, seed, stage, phi, got, want)
+						}
+					}
+				}
+				c.UpdateBatch(data[:n/3])
+				feedSlices(c, data[n/3:n/2])
+				c.Quantile(0.5)
+				check("generation 0")
+				if err := c.Reshard(p - 1); err != nil {
+					t.Fatal(err)
+				}
+				feedSlices(c, data[n/2:3*n/4])
+				c.Quantile(0.5)
+				check("after Reshard(P-1)")
+				if err := c.Retarget(func() core.CashRegister { return fam.fresh(eps / 2) }); err != nil {
+					t.Fatal(err)
+				}
+				if c.Components() < p-1 {
+					t.Fatalf("%s P=%d: %d components after a finer Retarget, want every shard frozen", fam.name, p, c.Components())
+				}
+				feedSlices(c, data[3*n/4:])
+				c.Quantile(0.5)
+				check("after a finer Retarget")
+			}
+		}
+	}
+}
+
+// foldTestData is a stream over [0, 2^16) whose shape cycles with the
+// seed: uniform, 50 distinct values, or ascending.
+func foldTestData(seed uint64, n int) []uint64 {
+	rng := rand.New(rand.NewPCG(seed, 7))
+	xs := make([]uint64, n)
+	for i := range xs {
+		switch seed % 3 {
+		case 0:
+			xs[i] = rng.Uint64N(1 << 16)
+		case 1:
+			xs[i] = rng.Uint64N(50) * 1301
+		default:
+			xs[i] = uint64(i) * (1 << 16) / uint64(n)
+		}
+	}
+	return xs
+}
+
+// feedSlices writes xs in batches of uneven size, through both the
+// batched and the one-element path.
+func feedSlices(c *CashRegister, xs []uint64) {
+	for len(xs) > 0 {
+		k := min(len(xs), 1+len(xs)%97)
+		c.UpdateBatch(xs[:k])
+		c.Update(xs[0])
+		xs = xs[k:]
+	}
+}
+
+// TestFoldUnderConcurrentWrites runs writer goroutines and a separate
+// querying goroutine on P = 2 containers of every fold shape: the run
+// listings of KLL, GKArray and q-digest and the counter sum of a DCS
+// turnstile. Every rebuild reads the shards while writers mutate them,
+// so under -race an unlocked shard read is reported here.
+func TestFoldUnderConcurrentWrites(t *testing.T) {
+	const writers, batches = 2, 150
+	phis := []float64{0.1, 0.5, 0.9}
+	probes := []uint64{10, 1000, 30000}
+	cash := map[string]func() core.CashRegister{
+		"KLL":     func() core.CashRegister { return kll.New(0.01, 7) },
+		"GKArray": func() core.CashRegister { return gk.NewArray(0.01) },
+		"QDigest": func() core.CashRegister { return qdigest.New(0.01, 16) },
+	}
+	type target struct {
+		write func(w int, xs []uint64)
+		query func()
+	}
+	targets := map[string]func(t *testing.T) target{}
+	for name, fresh := range cash {
+		targets[name] = func(t *testing.T) target {
+			c, err := NewCashRegister(2, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := []*CashWriter{c.AcquireWriter(), c.AcquireWriter()}
+			return target{
+				write: func(w int, xs []uint64) {
+					ws[w].UpdateBatch(xs)
+					ws[w].Flush()
+				},
+				query: func() { c.QuantileBatch(phis); c.RankBatch(probes) },
+			}
+		}
+	}
+	targets["DCS"] = func(t *testing.T) target {
+		c, err := NewTurnstile(2, dcsFactory(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return target{
+			write: func(_ int, xs []uint64) { c.InsertBatch(xs) },
+			query: func() { c.QuantileBatch(phis); c.RankBatch(probes) },
+		}
+	}
+	data := turnData(writers*batches*64, 16)
+	for name, build := range targets {
+		t.Run(name, func(t *testing.T) {
+			tg := build(t)
+			tg.write(0, data[:64]) // the querier never sees an empty container
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			queried := make(chan int)
+			go func() {
+				n := 0
+				for {
+					select {
+					case <-stop:
+						queried <- n
+						return
+					default:
+					}
+					tg.query()
+					n++
+				}
+			}()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for b := w; b < writers*batches; b += writers {
+						tg.write(w, data[b*64:(b+1)*64])
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			if n := <-queried; n == 0 {
+				t.Error("no query ran while the writers wrote")
+			}
+		})
 	}
 }

@@ -14,19 +14,17 @@
 //     the shard that saw its insertions and every shard individually
 //     stays in the strict turnstile model.
 //
-// Queries combine the shards within the composed error bound
-// Σ εᵢnᵢ ≤ εn: the sampling summaries that list sorted runs (KLL,
-// MRL99, Random) fold into one snapshot by a single merge of every
-// shard's runs; the dyadic linear sketches sum their counters into one
+// Queries combine the shards within the composed error bound: the
+// summaries that list sorted runs (KLL, MRL99, Random, q-digest, the GK
+// tuple summaries, Windowed) fold into one snapshot by a single merge
+// of every shard's runs, whose rank is the sum of the shards' own rank
+// estimates (within Σ εᵢnᵢ ≤ εn, and 2εn + P for GK's midpoint
+// estimator); the dyadic linear sketches sum their counters into one
 // reused target sketch, exactly the unsharded sketch, which answers
-// directly; q-digest merges into one fresh summary; the rest (the GK
-// family) combine by additive rank estimation — the summed per-shard
-// rank estimate tracks the true combined rank everywhere within the
-// summed estimate errors (at most 2εn + P for GK's midpoint estimator,
-// far less in practice), and a 64-bit bitwise descent over the value
-// domain inverts it. A lone shard
-// answers by itself, which makes a one-shard container (Sole) the
-// engine of the goroutine-safe wrappers.
+// directly; GKBiased, which lists no runs, sums the shards' live rank
+// estimates, and a 64-bit bitwise descent over the value domain
+// inverts the sum. A lone shard answers by itself, which makes a
+// one-shard container (Sole) the engine of the goroutine-safe wrappers.
 //
 // The fold itself is cached: capabilities are probed once per factory,
 // every shard carries a write epoch, and the combined artifact is
@@ -192,8 +190,10 @@ func (c *container) Generation() uint64 { return c.gen.Load().id }
 // Mergeable reports whether the factory's instances merge as summaries
 // (the family merges and the instances are merge-compatible), probed
 // once per factory — a factory drawing random seeds is detected here
-// instead of failing inside every drain. Queries of the run-listing
-// families fold the shards whether or not they merge.
+// instead of failing inside every drain. It decides how a Reshard
+// drains, not how queries combine: the run-listing families, the GK
+// tuple summaries among them, fold the shards whether or not they
+// merge.
 func (c *container) Mergeable() bool { return c.gen.Load().caps.mergeable }
 
 // Count implements core.Summary: live shards plus frozen components.
@@ -216,9 +216,10 @@ func (c *container) countLocked() int64 {
 
 // Rank implements core.Summary. Folded families answer from the
 // (cached) fold — for the linear sketches, exactly the unsharded
-// estimate. Otherwise ranks are additive across a partition:
-// the estimate is the sum of per-shard estimates and its error the sum
-// of per-shard estimate errors — for the GK family, whose midpoint
+// estimate; for the run-listing families, the sum of the parts' own
+// estimates. Otherwise (GKBiased) ranks are summed across the live
+// shards and frozen components. Either way the error is the sum of the
+// parts' estimate errors — for the GK tuple summaries, whose midpoint
 // estimator is uncertain by up to the ⌊2εᵢnᵢ⌋ capacity of the gap a
 // probe falls into plus its −1 bias, Σᵢ(2εᵢnᵢ+1) ≤ 2εn + parts, where
 // parts counts live shards plus frozen components (Components).

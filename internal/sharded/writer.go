@@ -77,13 +77,15 @@ func (w *CashWriter) UpdateBatch(xs []uint64) {
 // Flush delivers the buffered elements to the writer's affinity shard
 // in the live generation (re-routing if that shard retired mid-flush)
 // and resets the buffer. The summaries copy what they keep, so the
-// buffer is reused across flushes without aliasing.
+// buffer is reused across flushes without aliasing. It is reset before
+// delivery, so a batch the summary rejects by panicking is dropped.
 func (w *CashWriter) Flush() {
 	if len(w.buf) == 0 {
 		return
 	}
-	w.c.deliver(w.slot, w.buf)
+	buf := w.buf
 	w.buf = w.buf[:0]
+	w.c.deliver(w.slot, buf)
 }
 
 // Buffered returns the number of elements accumulated since the last
@@ -178,15 +180,17 @@ func (w *TurnWriter) addBatch(buf *[]uint64, xs []uint64, delta int64) {
 // Flush scatters the buffered insertions, then the buffered deletions.
 // Insertions go first so that an insert/delete pair of a fresh element
 // buffered together never leaves a shard transiently negative — the
-// flush boundary preserves the strict-turnstile model.
+// flush boundary preserves the strict-turnstile model. Both buffers are
+// reset before the first scatter, so a rejected insert batch also drops
+// its deletions, which could drive a shard below zero without it.
 func (w *TurnWriter) Flush() {
-	if len(w.ins) > 0 {
-		w.t.scatter(&w.pt, w.ins, 1)
-		w.ins = w.ins[:0]
+	ins, dels := w.ins, w.dels
+	w.ins, w.dels = w.ins[:0], w.dels[:0]
+	if len(ins) > 0 {
+		w.t.scatter(&w.pt, ins, 1)
 	}
-	if len(w.dels) > 0 {
-		w.t.scatter(&w.pt, w.dels, -1)
-		w.dels = w.dels[:0]
+	if len(dels) > 0 {
+		w.t.scatter(&w.pt, dels, -1)
 	}
 }
 

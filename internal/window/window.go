@@ -5,10 +5,10 @@
 // introduction lists among the problem's variations.
 //
 // The construction is block-based: the window splits into blocks of
-// ⌈εW/2⌉ consecutive elements, each summarized by a mergeable Random
-// summary with error ε/2; expired blocks are dropped whole. A query
-// merges clones of the live block summaries and answers from the merged
-// summary. Two error sources add up: the sub-summaries contribute ε/2
+// ⌈εW/2⌉ consecutive elements, each summarized by a Random summary with
+// error ε/2; expired blocks are dropped whole. A query answers from the
+// union of the live blocks' weighted samples, one merge of their sorted
+// runs. Two error sources add up: the sub-summaries contribute ε/2
 // relative rank error, and window expiry is quantized to whole blocks,
 // contributing at most one block = εW/2 elements. The result is an
 // ε-approximate quantile over a window of W′ elements for some
@@ -20,7 +20,7 @@
 // min(W, O(ε⁻²·polylog)) words: real compression appears once
 // εW/2 exceeds a block summary's exact regime. Arasu and Manku's
 // multi-resolution scheme shaves a further 1/ε factor; this simpler
-// construction favors clarity and reuses the mergeable Random summary.
+// construction favors clarity and reuses the Random summary.
 package window
 
 import (
@@ -119,81 +119,40 @@ func (w *Windowed) Count() int64 {
 	return n
 }
 
-// merged builds a one-shot summary of the live window by merging clones
-// of the block summaries.
-func (w *Windowed) merged() *randalg.Random {
-	var acc *randalg.Random
-	fold := func(b *block) {
-		if b == nil || b.summary.Count() == 0 {
-			return
-		}
-		if acc == nil {
-			acc = b.summary.Clone()
-			return
-		}
-		acc.Merge(b.summary.Clone())
-	}
+// ListRuns implements core.RunLister: the runs of every live block.
+// Every query answers from their union, one run merge, so the blocks
+// are never cloned or merged; the sharded containers fold a window's
+// blocks with their shards the same way.
+func (w *Windowed) ListRuns(rs *core.Runs) {
 	for _, b := range w.blocks {
-		fold(b)
+		b.summary.ListRuns(rs)
 	}
-	fold(w.cur)
-	return acc
+	if w.cur != nil {
+		w.cur.summary.ListRuns(rs)
+	}
 }
 
 // Quantile returns an estimated φ-quantile over the live window.
-func (w *Windowed) Quantile(phi float64) uint64 {
-	core.CheckPhi(phi)
-	m := w.merged()
-	if m == nil {
-		panic(core.ErrEmpty)
-	}
-	return m.Quantile(phi)
-}
+func (w *Windowed) Quantile(phi float64) uint64 { return core.RunsQuantile(w, phi) }
 
-// Quantiles extracts a batch of fractions from one merged view.
+// Quantiles extracts a batch of fractions from one merge of the runs.
 func (w *Windowed) Quantiles(phis []float64) []uint64 {
 	return w.QuantileBatch(phis)
 }
 
-// QuantileBatch implements core.QuantileBatcher: one merged view answers
-// the whole batch.
-func (w *Windowed) QuantileBatch(phis []float64) []uint64 {
-	m := w.merged()
-	if m == nil {
-		panic(core.ErrEmpty)
-	}
-	return m.QuantileBatch(phis)
-}
+// QuantileBatch implements core.QuantileBatcher: one merge of the runs
+// answers the whole batch.
+func (w *Windowed) QuantileBatch(phis []float64) []uint64 { return core.RunsQuantiles(w, phis) }
 
 // RankBatch implements core.QuantileBatcher.
-func (w *Windowed) RankBatch(xs []uint64) []int64 {
-	m := w.merged()
-	if m == nil {
-		return make([]int64, len(xs))
-	}
-	return m.RankBatch(xs)
-}
+func (w *Windowed) RankBatch(xs []uint64) []int64 { return core.RunsRanks(w, xs) }
 
-// AppendQuerySnapshot implements core.Snapshotter by flattening the
-// one-shot merged view — the expensive per-query merge is exactly what
-// an epoch-cached snapshot amortizes away for this summary.
-func (w *Windowed) AppendQuerySnapshot(qs *core.QuerySnapshot) {
-	m := w.merged()
-	if m == nil {
-		qs.Reset()
-		return
-	}
-	m.AppendQuerySnapshot(qs)
-}
+// AppendQuerySnapshot implements core.Snapshotter: the merge of the
+// runs, which an epoch-cached snapshot builds once instead of per query.
+func (w *Windowed) AppendQuerySnapshot(qs *core.QuerySnapshot) { core.AppendRunsSnapshot(qs, w) }
 
 // Rank returns the estimated number of live elements smaller than x.
-func (w *Windowed) Rank(x uint64) int64 {
-	m := w.merged()
-	if m == nil {
-		return 0
-	}
-	return m.Rank(x)
-}
+func (w *Windowed) Rank(x uint64) int64 { return core.RunsRank(w, x) }
 
 // SpaceBytes reports the footprint: every live block summary plus
 // bookkeeping.

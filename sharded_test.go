@@ -11,8 +11,8 @@ import (
 // Sharded-ingestion properties: a P-way sharded summary fed the same
 // stream (in any partition) must answer within the composed ε bound —
 // every shard contributes at most εᵢnᵢ rank error and Σ εᵢnᵢ ≤ εn —
-// whether queries combine shards by merging or by additive rank
-// estimation. The concurrent tests run the actual multi-writer path and
+// whether queries fold the shards' runs, sum their counters or sum
+// their rank estimates. The concurrent tests run the actual multi-writer path and
 // are meaningful under -race.
 
 // mustShardedCash builds a sharded cash-register container, failing the

@@ -93,3 +93,62 @@ func TestRecoveredPanicLeavesShardUnlocked(t *testing.T) {
 		})
 	}
 }
+
+// TestRejectedFlushDoesNotWedgeWriter drives a writer handle's flush
+// into a summary that rejects one buffered element by panicking. After
+// the recovered panic the handle must hold nothing (the turnstile's
+// buffered deletion included), its next Flush must not panic again, and
+// a valid write through it must land.
+func TestRejectedFlushDoesNotWedgeWriter(t *testing.T) {
+	const bad = 1 << 20
+	type handle interface {
+		Flush()
+		Buffered() int
+	}
+	rejected := []uint64{1, 2, bad}
+	cases := []struct {
+		name  string
+		build func(t *testing.T) (s Summary, w handle, reject func(), write func(xs []uint64))
+	}{
+		{"cash", func(t *testing.T) (Summary, handle, func(), func([]uint64)) {
+			s, err := NewShardedCashRegister(2, func() CashRegister { return NewQDigest(0.05, 8) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := s.AcquireWriter()
+			return s, w, func() { w.UpdateBatch(rejected) }, w.UpdateBatch
+		}},
+		{"turnstile", func(t *testing.T) (Summary, handle, func(), func([]uint64)) {
+			s, err := NewShardedTurnstile(2, func() Turnstile { return NewDCS(0.05, 8, DyadicConfig{Seed: 7}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := s.AcquireWriter()
+			return s, w, func() { w.InsertBatch(rejected); w.Delete(1) }, w.InsertBatch
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, w, reject, write := tc.build(t)
+			reject()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("flushing %d did not panic", bad)
+					}
+				}()
+				w.Flush()
+			}()
+			if n := w.Buffered(); n != 0 {
+				t.Fatalf("%d elements still buffered after the rejected flush, want 0", n)
+			}
+			w.Flush() // must not panic: the rejected batch is gone
+			before := s.Count()
+			write([]uint64{3})
+			w.Flush()
+			if after := s.Count(); after != before+1 {
+				t.Errorf("valid write after the rejected flush: count %d -> %d, want +1", before, after)
+			}
+		})
+	}
+}
